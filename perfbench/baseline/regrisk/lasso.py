@@ -1,0 +1,352 @@
+"""L1-regularized least squares over a whole penalty grid at once.
+
+The solver runs a single ADMM iteration stream whose primal and dual
+state carry one column per grid value. All columns share the penalty
+parameter rho, its adaptation history, and the stopping rule, so the
+returned solutions are mutually consistent across the grid (no column
+gets lucky with its own stopping point) and the factorization of
+(A^T A + rho I) in the x-update amortizes over every column.
+
+Iteration layout per step k:
+  X   <- (A^T A + rho I)^{-1} (A^T y 1^T + rho (Z - U))
+  Z   <- soft threshold of X + U at alpha_j / rho per column
+  U   <- U + X - Z
+  rho <- adapted by a majority vote over columns comparing primal and
+         dual residual norms; U is rescaled with it and the
+         factorization is rebuilt.
+Stopping requires every column's primal and dual residual to fall below
+its tolerance. Solutions are taken from Z, whose zeros are exact by
+construction of the thresholding step.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import scipy.linalg as sla
+from numpy.linalg import LinAlgError
+
+from .accum import square
+from .errors import NumericError
+from .rules import AlphaGrid
+
+__all__ = [
+    "AdmmParams",
+    "LassoPath",
+    "GsureAux",
+    "soft_threshold",
+    "admm_all_at_once",
+    "admm_per_alpha",
+    "lasso_df",
+    "lasso_gdf",
+    "row_space_projector",
+    "gsure_aux",
+    "lasso_psure_value",
+    "lasso_gsure_value",
+]
+
+
+@dataclasses.dataclass(frozen=True)
+class AdmmParams:
+    """Solver constants; the defaults are the standard choices used by
+    every study in this package."""
+
+    rho: float = 1.0
+    tau: float = 2.0
+    mu: float = 1.1
+    max_iter: int = 10_000
+    tol: float = 1e-14
+
+    def __post_init__(self):
+        if not self.rho > 0:
+            raise ValueError("rho must be positive")
+        if not self.tau > 1:
+            raise ValueError("tau must exceed 1")
+        if not self.mu > 1:
+            raise ValueError("mu must exceed 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+
+
+@dataclasses.dataclass(eq=False)
+class LassoPath:
+    """Per-column solutions and diagnostics of one solver run.
+
+    Z holds the sparse iterates (one column per penalty value, hard
+    zeros), X the auxiliary iterates. converged_flags marks columns
+    whose final residuals met the tolerance; hitting max_iter leaves
+    flags False rather than raising.
+    """
+
+    Z: np.ndarray
+    X: np.ndarray
+    alphas: np.ndarray
+    iterations_used: int
+    converged_flags: np.ndarray
+    primal_residuals: np.ndarray
+    dual_residuals: np.ndarray
+    final_rho: float
+
+
+def soft_threshold(v, t):
+    """sign(v) * max(|v| - t, 0); t must be nonnegative."""
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0):
+        raise ValueError("threshold must be nonnegative")
+    v_arr = np.asarray(v, dtype=float)
+    out = np.sign(v_arr) * np.maximum(np.abs(v_arr) - t_arr, 0.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def _as_alpha_array(grid) -> np.ndarray:
+    alphas = grid.values if isinstance(grid, AlphaGrid) else np.asarray(grid, dtype=float)
+    if alphas.ndim != 1 or alphas.size == 0:
+        raise ValueError("need a nonempty 1-D penalty grid")
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("penalty grid must be finite (no +inf point here)")
+    if np.any(alphas < 0):
+        raise ValueError("penalties must be nonnegative")
+    return alphas
+
+
+def admm_all_at_once(A, y, grid, params: AdmmParams | None = None,
+                     adapt_rho: bool = True) -> LassoPath:
+    """Solve min 0.5||Ax - y||^2 + alpha||x||_1 for every alpha at once.
+
+    adapt_rho=False freezes the penalty parameter, which is only useful
+    for regression tests of the adaptation itself.
+    """
+    p = params if params is not None else AdmmParams()
+    alphas = _as_alpha_array(grid)
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    m, n = A.shape
+    if y.shape != (m,):
+        raise ValueError(f"y has shape {y.shape}, expected ({m},)")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
+        raise ValueError("operator and data must be finite")
+    n_alpha = alphas.size
+
+    AtA = A.T @ A
+    Aty = A.T @ y
+    rho = float(p.rho)
+    cho = sla.cho_factor(AtA + rho * np.eye(n))
+    B = np.broadcast_to(Aty[:, None], (n, n_alpha))
+
+    X = np.zeros((n, n_alpha))
+    Z = np.zeros((n, n_alpha))
+    U = np.zeros((n, n_alpha))
+    rn = np.zeros(n_alpha)
+    sn = np.zeros(n_alpha)
+    eps_pri = np.zeros(n_alpha)
+    eps_dual = np.zeros(n_alpha)
+    sqrt_n = np.sqrt(n)
+    iterations = 0
+
+    for k in range(p.max_iter):
+        X = sla.cho_solve(cho, B + rho * (Z - U))
+        Znew = soft_threshold(X + U, alphas[None, :] / rho)
+        U = U + X - Znew
+        R = X - Znew
+        S = -rho * (Znew - Z)
+        Z = Znew
+        with np.errstate(over="ignore"):
+            rn = np.linalg.norm(R, axis=0)
+            sn = np.linalg.norm(S, axis=0)
+        if not np.isfinite(rn.sum() + sn.sum()):
+            raise NumericError(f"iterates diverged at iteration {k + 1}")
+        if adapt_rho:
+            if int(np.sum(rn > p.mu * sn)) * 2 > n_alpha:
+                U = U / p.tau
+                rho = p.tau * rho
+                cho = sla.cho_factor(AtA + rho * np.eye(n))
+            elif int(np.sum(sn > p.mu * rn)) * 2 > n_alpha:
+                U = p.tau * U
+                rho = rho / p.tau
+                cho = sla.cho_factor(AtA + rho * np.eye(n))
+        eps_pri = p.tol * (sqrt_n + np.maximum(
+            np.linalg.norm(X, axis=0), np.linalg.norm(Z, axis=0)))
+        eps_dual = p.tol * (sqrt_n + rho * np.linalg.norm(U, axis=0))
+        iterations = k + 1
+        if np.all(rn < eps_pri) and np.all(sn < eps_dual):
+            break
+
+    return LassoPath(
+        Z=Z,
+        X=X,
+        alphas=alphas,
+        iterations_used=iterations,
+        converged_flags=(rn < eps_pri) & (sn < eps_dual),
+        primal_residuals=rn,
+        dual_residuals=sn,
+        final_rho=rho,
+    )
+
+
+def admm_per_alpha(A, y, grid, params: AdmmParams | None = None,
+                   n_iter: int = 20) -> LassoPath:
+    """Baseline variant: an independent ADMM run per penalty value, with
+    a fixed iteration budget.
+
+    Every column gets its own rho trajectory and runs exactly n_iter
+    iterations unless its residuals pass the tolerance first. At the
+    small default budget this is deliberately inexact; it exists to
+    demonstrate the inconsistencies across the grid that the shared
+    all-at-once trajectory avoids.
+    """
+    p = params if params is not None else AdmmParams()
+    alphas = _as_alpha_array(grid)
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    m, n = A.shape
+    if y.shape != (m,):
+        raise ValueError(f"y has shape {y.shape}, expected ({m},)")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
+        raise ValueError("operator and data must be finite")
+
+    AtA = A.T @ A
+    Aty = A.T @ y
+    sqrt_n = np.sqrt(n)
+    n_alpha = alphas.size
+    Z_all = np.zeros((n, n_alpha))
+    X_all = np.zeros((n, n_alpha))
+    rn_all = np.zeros(n_alpha)
+    sn_all = np.zeros(n_alpha)
+    conv = np.zeros(n_alpha, dtype=bool)
+    iters_max = 0
+    rho_last = float(p.rho)
+
+    for j, alpha in enumerate(alphas):
+        rho = float(p.rho)
+        cho = sla.cho_factor(AtA + rho * np.eye(n))
+        x = np.zeros(n)
+        z = np.zeros(n)
+        u = np.zeros(n)
+        rnv = snv = np.inf
+        for k in range(n_iter):
+            x = sla.cho_solve(cho, Aty + rho * (z - u))
+            znew = soft_threshold(x + u, alpha / rho)
+            u = u + x - znew
+            rnv = float(np.linalg.norm(x - znew))
+            snv = float(np.linalg.norm(-rho * (znew - z)))
+            z = znew
+            if not np.isfinite(rnv + snv):
+                raise NumericError(
+                    f"iterates diverged at iteration {k + 1} (alpha={alpha})")
+            if rnv > p.mu * snv:
+                u = u / p.tau
+                rho = p.tau * rho
+                cho = sla.cho_factor(AtA + rho * np.eye(n))
+            elif snv > p.mu * rnv:
+                u = p.tau * u
+                rho = rho / p.tau
+                cho = sla.cho_factor(AtA + rho * np.eye(n))
+            ep = p.tol * (sqrt_n + max(np.linalg.norm(x), np.linalg.norm(z)))
+            ed = p.tol * (sqrt_n + rho * np.linalg.norm(u))
+            iters_max = max(iters_max, k + 1)
+            if rnv < ep and snv < ed:
+                conv[j] = True
+                break
+        Z_all[:, j] = z
+        X_all[:, j] = x
+        rn_all[j] = rnv
+        sn_all[j] = snv
+        rho_last = rho
+
+    return LassoPath(
+        Z=Z_all,
+        X=X_all,
+        alphas=alphas,
+        iterations_used=iters_max,
+        converged_flags=conv,
+        primal_residuals=rn_all,
+        dual_residuals=sn_all,
+        final_rho=rho_last,
+    )
+
+
+def lasso_df(z) -> int:
+    """Support size of a solver column; zeros are exact, so no epsilon."""
+    return int(np.count_nonzero(z))
+
+
+def lasso_gdf(A, support, projector: np.ndarray | None = None) -> float:
+    """Generalized degrees of freedom tr(P B) for the given support.
+
+    B restricts (A_I^T A_I)^(-1) to the support; P is the row-space
+    projector A^+ A, passed as `projector` (None means A has full column
+    rank so P is the identity and the value is the plain trace).
+    """
+    support = np.asarray(support, dtype=int)
+    if support.size == 0:
+        return 0.0
+    A = np.asarray(A, dtype=float)
+    Ai = A[:, support]
+    gram = Ai.T @ Ai
+    try:
+        cho = sla.cho_factor(gram)
+    except LinAlgError as exc:
+        raise NumericError(
+            f"active columns {support.tolist()} are rank deficient"
+        ) from exc
+    inv = sla.cho_solve(cho, np.eye(support.size))
+    if projector is None:
+        return float(np.trace(inv))
+    sub = projector[np.ix_(support, support)]
+    # tr(sub @ inv) with inv symmetric
+    return float(np.sum(sub * inv))
+
+
+def row_space_projector(A) -> np.ndarray:
+    """Orthogonal projector A^+ A onto the row space."""
+    return np.linalg.pinv(A) @ A
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class GsureAux:
+    """Precomputed pieces of the estimation-risk estimate that depend on
+    A only: pseudo-inverse, row-space projector (None when A has full
+    column rank) and tr((A A^T)^+)."""
+
+    pinv: np.ndarray
+    projector: np.ndarray | None
+    trace_gram_pinv: float
+
+
+def gsure_aux(A, rank_tol: float = 1e-12) -> GsureAux:
+    A = np.asarray(A, dtype=float)
+    s = np.linalg.svd(A, compute_uv=False)
+    keep = s > rank_tol * s[0]
+    trace = float(np.sum(1.0 / s[keep] ** 2))
+    pinv = np.linalg.pinv(A)
+    full_column_rank = int(np.sum(keep)) == A.shape[1]
+    projector = None if full_column_rank else pinv @ A
+    return GsureAux(pinv=pinv, projector=projector, trace_gram_pinv=trace)
+
+
+def lasso_psure_value(A, y, z, sigma) -> float:
+    """Prediction-risk estimate ||y - Az||^2 - m sigma^2 + 2 sigma^2 df."""
+    y = np.asarray(y, dtype=float)
+    resid = y - np.asarray(A, dtype=float) @ np.asarray(z, dtype=float)
+    s2 = square(sigma)
+    return float(resid @ resid) - y.size * s2 + 2.0 * s2 * lasso_df(z)
+
+
+def lasso_gsure_value(A, y, z, sigma, aux: GsureAux | None = None) -> float:
+    """Estimation-risk estimate against the minimum-norm solution.
+
+    ||A^+ y - z||^2 - sigma^2 tr((A A^T)^+) + 2 sigma^2 gdf(support(z)).
+    Pass a GsureAux when evaluating many columns of the same A.
+    """
+    if aux is None:
+        aux = gsure_aux(A)
+    z = np.asarray(z, dtype=float)
+    diff = aux.pinv @ np.asarray(y, dtype=float) - z
+    s2 = square(sigma)
+    g = lasso_gdf(A, np.flatnonzero(z), projector=aux.projector)
+    return float(diff @ diff) - s2 * aux.trace_gram_pinv + 2.0 * s2 * g

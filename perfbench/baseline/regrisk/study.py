@@ -1,0 +1,864 @@
+"""Simulation harness: repeated noise draws, rule selections, empirical
+distributions, sup-deviation statistics and log-log rate fits.
+
+The quadratic path batches draws into fixed-size chunks and evaluates
+whole rule curves as matrix products against precomputed weight tables,
+so the per-draw cost is a handful of GEMMs. Chunk boundaries and the
+per-draw seed derivation are independent of the worker count, and the
+reduction keeps draw order, so results are bit-identical no matter how
+the work is scheduled.
+
+The l1 path runs two passes over the same draws: the first accumulates
+sample-mean curves of the risk estimates (these stand in for the exact
+risk curves, which have no closed form here), the second replays the
+draws and records selections plus sup deviations against those means.
+"""
+
+from __future__ import annotations
+
+import csv
+import dataclasses
+import json
+import math
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
+
+import numpy as np
+
+from .accum import neumaier_sum
+from .errors import NumericError
+from .lasso import AdmmParams, admm_all_at_once, lasso_gdf
+from .problem import ProblemInstance, build_problem, problem_hash
+from .rules import (
+    AlphaGrid,
+    ORACLE_METRICS,
+    c_constant,
+    df_table,
+    estimation_weight_table,
+    expected_data_power,
+    filter_table,
+    gdf_table,
+    prediction_weight_table,
+    trace_pinv_gram,
+)
+from .spectral import decompose
+
+__all__ = [
+    "SCHEMA_VERSION",
+    "KNOWN_RULES",
+    "StudyConfig",
+    "RuleOutcome",
+    "StudyRecord",
+    "HistogramSpec",
+    "HistogramResult",
+    "JointHistogram",
+    "RateFit",
+    "run_study",
+    "sup_deviation",
+    "mean_sup_deviation",
+    "rate_check",
+    "error_stats",
+    "win_fraction",
+    "alpha_histogram_spec",
+    "log_error_histogram_spec",
+    "histogram",
+    "joint_histogram",
+    "loss_closeness_stats",
+    "write_records_csv",
+    "read_records_csv",
+    "summary_json",
+]
+
+SCHEMA_VERSION = 1
+KNOWN_RULES = ("oracle", "dp", "psure", "sure")
+CHUNK = 512  # draws per batch; fixed so scheduling cannot change results
+
+
+@dataclasses.dataclass(frozen=True)
+class StudyConfig:
+    """Everything needed to reproduce one simulation run."""
+
+    m: int
+    n: int
+    l: float
+    sigma: float
+    grid: AlphaGrid
+    n_draws: int
+    master_seed: int
+    rules: tuple = KNOWN_RULES
+    regularizer: str = "quadratic"
+    metric: str = "l2_estimation"
+    track_loss_closeness: bool = False
+    admm: AdmmParams | None = None
+
+    def __post_init__(self):
+        if self.n_draws < 1:
+            raise ValueError("need at least one draw")
+        if self.regularizer not in ("quadratic", "lasso"):
+            raise ValueError(f"unknown regularizer {self.regularizer!r}")
+        if self.regularizer == "lasso" and self.grid.includes_infinity:
+            raise ValueError("the l1 path cannot evaluate an infinite penalty")
+        if self.metric not in ORACLE_METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}")
+        unknown = set(self.rules) - set(KNOWN_RULES)
+        if unknown:
+            raise ValueError(f"unknown rules {sorted(unknown)}")
+        if self.sigma < 0:
+            raise ValueError("noise level must be nonnegative")
+
+
+@dataclasses.dataclass
+class RuleOutcome:
+    alpha_hat: float
+    error_l2: float
+    error_l1: float
+    at_boundary: bool
+
+
+@dataclasses.dataclass
+class StudyRecord:
+    """Per-draw selections, errors and deviation statistics."""
+
+    draw_index: int
+    outcomes: dict
+    sup_dev_psure: float
+    sup_dev_gsure: float
+    sup_loss_psure: float | None = None
+    sup_loss_gsure: float | None = None
+
+
+def _argmin_rows_tie_larger(mat: np.ndarray) -> np.ndarray:
+    # ties go to the larger alpha, hence argmin over reversed columns
+    return mat.shape[1] - 1 - np.argmin(mat[:, ::-1], axis=1)
+
+
+def _ensure_finite(mat, name, start_index, grid):
+    if np.all(np.isfinite(mat)):
+        return
+    rows, cols = np.nonzero(~np.isfinite(np.atleast_2d(mat)))
+    raise NumericError(
+        f"{name} is not finite at draw {start_index + int(rows[0])}, "
+        f"alpha={grid.values[int(cols[0])]!r}"
+    )
+
+
+def _draw_noise_block(children, sigma, m) -> np.ndarray:
+    eps = np.empty((m, len(children)))
+    for j, child in enumerate(children):
+        eps[:, j] = np.random.default_rng(child).standard_normal(m)
+    return float(sigma) * eps
+
+
+def _quadratic_tables(cfg, problem, dec):
+    T = SimpleNamespace()
+    grid = cfg.grid
+    xs_full = dec.V.T @ problem.x_star
+    r = dec.r
+    T.xs_full = xs_full
+    T.xs_r = xs_full[:r]
+    T.g = dec.gammas[:r]
+    T.W1 = prediction_weight_table(dec, grid)
+    T.W2 = estimation_weight_table(dec, grid)
+    T.F = filter_table(dec, grid)
+    T.F2 = T.F * T.F
+    T.df_row = df_table(dec, grid)
+    T.gdf_row = gdf_table(dec, grid)
+    T.s1 = trace_pinv_gram(dec)
+    T.e2 = expected_data_power(dec, xs_full, cfg.sigma)
+    T.e2w1 = T.e2 @ T.W1
+    T.e2w2 = T.e2[:r] @ T.W2
+    T.c0_est = neumaier_sum(xs_full * xs_full)
+    T.signal = np.zeros(dec.m)
+    T.signal[: dec.q] = dec.gammas * xs_full[: dec.q]
+    T.V_r = dec.V[:, :r]
+    T.x_phys = problem.x_star
+    if cfg.metric == "l2_prediction" or cfg.track_loss_closeness:
+        gx = T.g * T.xs_r
+        T.c0_pred = neumaier_sum(gx * gx)
+        T.gF = T.g[:, None] * T.F
+        T.gF2 = T.gF * T.gF
+    if cfg.track_loss_closeness:
+        T.c_m = c_constant(dec)
+        T.c0_tilde = neumaier_sum(T.xs_r * T.xs_r)
+    return T
+
+
+def _dp_root_for_draw(g, y2_head, tail, msig2, lo, hi, rel_tol=1e-6):
+    g2 = g * g
+
+    def value(a):
+        w = (a / (g2 + a)) ** 2
+        return float(w @ y2_head) + tail - msig2
+
+    while hi - lo > rel_tol * lo:
+        mid = 0.5 * (lo + hi)
+        if value(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _quadratic_chunk(cfg, dec, T, children, start_index):
+    grid = cfg.grid
+    vals = grid.values
+    K = len(grid)
+    nf = grid.n_finite
+    r = dec.r
+    m = dec.m
+    sigma = cfg.sigma
+    s2 = sigma * sigma
+    msig2 = m * s2
+    c = len(children)
+
+    # extreme inputs are allowed to overflow here; _ensure_finite below
+    # turns any inf/nan into a NumericError naming draw and alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = _draw_noise_block(children, sigma, m)
+        Yc = T.signal[:, None] + dec.U.T @ eps
+        Y2 = Yc * Yc
+        Y2r_t = Y2[:r].T  # (c, r)
+
+        res_mat = Y2.T @ T.W1  # residual sums, (c, K)
+        dp_mat = res_mat - msig2
+        psure_mat = dp_mat + 2.0 * s2 * T.df_row[None, :]
+        gfit_mat = Y2r_t @ T.W2
+        gsure_mat = gfit_mat - s2 * T.s1 + 2.0 * s2 * T.gdf_row[None, :]
+
+        # deviations from the exact risk curves share the random term, so
+        # the df parts cancel and a single centered product gives both
+        sup_psure = np.max(np.abs(res_mat - T.e2w1[None, :]), axis=1)
+        sup_gsure = np.max(np.abs(gfit_mat - T.e2w2[None, :]), axis=1)
+
+        cross = (Yc[:r] * T.xs_r[:, None]).T @ T.F
+        err2 = T.c0_est - 2.0 * cross + Y2r_t @ T.F2
+    np.maximum(err2, 0.0, out=err2)
+
+    _ensure_finite(psure_mat, "prediction-risk estimate", start_index, grid)
+    _ensure_finite(gsure_mat, "estimation-risk estimate", start_index, grid)
+    _ensure_finite(err2, "true error", start_index, grid)
+
+    sup_loss_p = sup_loss_g = None
+    if cfg.track_loss_closeness:
+        cross_pred = (Yc[:r] * (T.g * T.g * T.xs_r)[:, None]).T @ T.F
+        loss_mat = (T.c0_pred - 2.0 * cross_pred + Y2r_t @ T.gF2) / m
+        sup_loss_p = np.max(np.abs(psure_mat / m - loss_mat), axis=1)
+        tilde_mat = T.c_m * (T.c0_tilde - 2.0 * cross + Y2r_t @ T.F2)
+        sup_loss_g = np.max(np.abs(T.c_m * gsure_mat - tilde_mat), axis=1)
+
+    selections = {}
+    if "oracle" in cfg.rules:
+        if cfg.metric == "l2_estimation":
+            sel_mat = err2
+        elif cfg.metric == "l2_prediction":
+            cross_pred = (Yc[:r] * (T.g * T.g * T.xs_r)[:, None]).T @ T.F
+            sel_mat = T.c0_pred - 2.0 * cross_pred + Y2r_t @ T.gF2
+        else:  # l1 needs physical reconstructions for the whole grid
+            sel_mat = np.empty((c, K))
+            for j in range(c):
+                coeffs = T.F * Yc[:r, j][:, None]
+                diff = T.x_phys[:, None] - T.V_r @ coeffs
+                sel_mat[j] = np.sum(np.abs(diff), axis=0)
+        selections["oracle"] = _argmin_rows_tie_larger(sel_mat)
+    if "psure" in cfg.rules:
+        selections["psure"] = _argmin_rows_tie_larger(psure_mat)
+    if "sure" in cfg.rules:
+        selections["sure"] = _argmin_rows_tie_larger(gsure_mat)
+
+    dp_alpha = dp_flag = None
+    if "dp" in cfg.rules:
+        neg_count = np.sum(dp_mat[:, :nf] < 0.0, axis=1)
+        dp_alpha = np.empty(c)
+        dp_flag = np.zeros(c, dtype=bool)
+        tails = Y2[r:].sum(axis=0) if r < m else np.zeros(c)
+        for j in range(c):
+            k = int(neg_count[j])
+            if k == 0:
+                dp_alpha[j] = vals[0]
+                dp_flag[j] = True
+            elif k == nf:
+                dp_alpha[j] = vals[K - 1]
+                dp_flag[j] = True
+            else:
+                dp_alpha[j] = _dp_root_for_draw(
+                    T.g, Y2[:r, j], float(tails[j]), msig2,
+                    float(vals[k - 1]), float(vals[k]),
+                )
+
+    def errors_at_filters(Fsel):
+        # Fsel: (r, c) filter factors at each draw's selected alpha
+        coeffs = Fsel * Yc[:r]
+        e2 = (
+            T.c0_est
+            - 2.0 * np.sum(T.xs_r[:, None] * coeffs, axis=0)
+            + np.sum(coeffs * coeffs, axis=0)
+        )
+        diff = T.x_phys[:, None] - T.V_r @ coeffs
+        return np.sqrt(np.maximum(e2, 0.0)), np.sum(np.abs(diff), axis=0)
+
+    per_rule = {}
+    for rule, idx in selections.items():
+        e_l2 = np.sqrt(err2[np.arange(c), idx])
+        _, e_l1 = errors_at_filters(T.F[:, idx])
+        per_rule[rule] = (
+            vals[idx], e_l2, e_l1, (idx == 0) | (idx == K - 1))
+    if dp_alpha is not None:
+        with np.errstate(invalid="ignore"):
+            Fdp = T.g[:, None] / (T.g[:, None] ** 2 + dp_alpha[None, :])
+        Fdp[:, ~np.isfinite(dp_alpha)] = 0.0  # infinite alpha shrinks to zero
+        e_l2, e_l1 = errors_at_filters(Fdp)
+        per_rule["dp"] = (dp_alpha, e_l2, e_l1, dp_flag)
+
+    records = []
+    for j in range(c):
+        outcomes = {}
+        for rule in cfg.rules:
+            a, e2v, e1v, flags = per_rule[rule]
+            outcomes[rule] = RuleOutcome(
+                alpha_hat=float(a[j]),
+                error_l2=float(e2v[j]),
+                error_l1=float(e1v[j]),
+                at_boundary=bool(flags[j]),
+            )
+        records.append(
+            StudyRecord(
+                draw_index=start_index + j,
+                outcomes=outcomes,
+                sup_dev_psure=float(sup_psure[j]),
+                sup_dev_gsure=float(sup_gsure[j]),
+                sup_loss_psure=(
+                    float(sup_loss_p[j]) if sup_loss_p is not None else None),
+                sup_loss_gsure=(
+                    float(sup_loss_g[j]) if sup_loss_g is not None else None),
+            )
+        )
+    return records
+
+
+def _run_quadratic(cfg, problem, dec, workers, extras):
+    T = _quadratic_tables(cfg, problem, dec)
+    children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.n_draws)
+    spans = [
+        (s, min(s + CHUNK, cfg.n_draws)) for s in range(0, cfg.n_draws, CHUNK)
+    ]
+
+    def work(span):
+        s, e = span
+        return _quadratic_chunk(cfg, dec, T, children[s:e], s)
+
+    if workers > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(work, spans))
+    else:
+        chunks = [work(span) for span in spans]
+    records = [rec for chunk in chunks for rec in chunk]
+    if extras is not None:
+        extras["grid_values"] = cfg.grid.values
+    return records
+
+
+def _gdf_along_grid(A, Z, projector):
+    K = Z.shape[1]
+    out = np.empty(K)
+    prev_key = None
+    prev_val = 0.0
+    for k in range(K):
+        support = np.flatnonzero(Z[:, k])
+        key = support.tobytes()
+        if key != prev_key:
+            prev_val = lasso_gdf(A, support, projector=projector)
+            prev_key = key
+        out[k] = prev_val
+    return out
+
+
+def _run_lasso(cfg, problem, dec, extras):
+    A = problem.A
+    x_star = problem.x_star
+    m = cfg.m
+    sigma = cfg.sigma
+    s2 = sigma * sigma
+    msig2 = m * s2
+    grid = cfg.grid
+    vals = grid.values
+    K = len(grid)
+    params = cfg.admm if cfg.admm is not None else AdmmParams()
+
+    g = dec.gammas[: dec.r]
+    pinv = (dec.V[:, : dec.r] / g[None, :]) @ dec.U[:, : dec.r].T
+    projector = None
+    if dec.r < dec.n:
+        projector = dec.V[:, : dec.r] @ dec.V[:, : dec.r].T
+    trace_pinv = trace_pinv_gram(dec)
+    ax_star = A @ x_star
+
+    children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.n_draws)
+    unconverged = 0
+
+    def solve_draw(child):
+        rng = np.random.default_rng(child)
+        y = ax_star + sigma * rng.standard_normal(m)
+        path = admm_all_at_once(A, y, vals, params)
+        return y, path
+
+    def curves(y, Z):
+        resid = y[:, None] - A @ Z
+        res2 = np.einsum("ij,ij->j", resid, resid)
+        dfv = np.count_nonzero(Z, axis=0).astype(float)
+        psure_c = res2 - msig2 + 2.0 * s2 * dfv
+        pd = (pinv @ y)[:, None] - Z
+        est2 = np.einsum("ij,ij->j", pd, pd)
+        gdfv = _gdf_along_grid(A, Z, projector)
+        gsure_c = est2 - s2 * trace_pinv + 2.0 * s2 * gdfv
+        return res2, psure_c, gsure_c
+
+    # pass 1: sample-mean risk curves
+    sum_psure = np.zeros(K)
+    sum_gsure = np.zeros(K)
+    for k in range(cfg.n_draws):
+        y, path = solve_draw(children[k])
+        if not bool(np.all(path.converged_flags)):
+            unconverged += 1
+        _, psure_c, gsure_c = curves(y, path.Z)
+        sum_psure += psure_c
+        sum_gsure += gsure_c
+    mean_psure = sum_psure / cfg.n_draws
+    mean_gsure = sum_gsure / cfg.n_draws
+
+    # pass 2: replay the same draws, select and record
+    records = []
+    for k in range(cfg.n_draws):
+        y, path = solve_draw(children[k])
+        Z = path.Z
+        res2, psure_c, gsure_c = curves(y, Z)
+        diff = x_star[:, None] - Z
+        err_l2 = np.sqrt(np.einsum("ij,ij->j", diff, diff))
+        err_l1 = np.sum(np.abs(diff), axis=0)
+
+        idx_by_rule = {}
+        if "oracle" in cfg.rules:
+            if cfg.metric == "l1":
+                sel = err_l1
+            elif cfg.metric == "l2_estimation":
+                sel = err_l2
+            else:
+                pr = ax_star[:, None] - A @ Z
+                sel = np.sqrt(np.einsum("ij,ij->j", pr, pr))
+            idx_by_rule["oracle"] = int(K - 1 - np.argmin(sel[::-1]))
+        if "psure" in cfg.rules:
+            _ensure_finite(psure_c[None, :], "prediction-risk estimate", k, grid)
+            idx_by_rule["psure"] = int(K - 1 - np.argmin(psure_c[::-1]))
+        if "sure" in cfg.rules:
+            _ensure_finite(gsure_c[None, :], "estimation-risk estimate", k, grid)
+            idx_by_rule["sure"] = int(K - 1 - np.argmin(gsure_c[::-1]))
+        if "dp" in cfg.rules:
+            nonneg = res2 - msig2 >= 0.0
+            if nonneg[0]:
+                idx_by_rule["dp"] = 0
+            elif not np.any(nonneg):
+                idx_by_rule["dp"] = K - 1
+            else:
+                idx_by_rule["dp"] = int(np.argmax(nonneg))
+
+        outcomes = {}
+        for rule in cfg.rules:
+            idx = idx_by_rule[rule]
+            boundary = idx == 0 or idx == K - 1
+            outcomes[rule] = RuleOutcome(
+                alpha_hat=float(vals[idx]),
+                error_l2=float(err_l2[idx]),
+                error_l1=float(err_l1[idx]),
+                at_boundary=bool(boundary),
+            )
+        records.append(
+            StudyRecord(
+                draw_index=k,
+                outcomes=outcomes,
+                sup_dev_psure=float(np.max(np.abs(psure_c - mean_psure))),
+                sup_dev_gsure=float(np.max(np.abs(gsure_c - mean_gsure))),
+            )
+        )
+
+    if extras is not None:
+        extras["grid_values"] = vals
+        extras["first_pass_mean_psure"] = mean_psure
+        extras["first_pass_mean_gsure"] = mean_gsure
+        extras["unconverged_draws"] = unconverged
+    return records
+
+
+def run_study(config: StudyConfig, problem: ProblemInstance | None = None,
+              dec=None, workers: int = 1, extras: dict | None = None):
+    """Run the configured study and return one StudyRecord per draw.
+
+    The problem is built (or taken as given), decomposed once, and the
+    decomposition is shared across all draws. Deterministic for a fixed
+    config regardless of the worker count.
+    """
+    if problem is None:
+        problem = build_problem(config.m, config.n, config.l, config.sigma)
+    elif (problem.m, problem.n) != (config.m, config.n):
+        raise ValueError("problem dimensions do not match the configuration")
+    if dec is None:
+        dec = decompose(problem.A)
+    if extras is not None:
+        extras["problem_hash"] = problem_hash(problem)
+    if config.regularizer == "quadratic":
+        return _run_quadratic(config, problem, dec, max(1, int(workers)), extras)
+    return _run_lasso(config, problem, dec, extras)
+
+
+def sup_deviation(dec, coords, xstar_coords, grid, sigma):
+    """Grid sup (including the +inf point) of the centered deviations
+    |prediction estimate - its expectation| and |estimation estimate -
+    its expectation| for one realization.
+
+    Both deviations share the random term sum w_i (y_i^2 - E y_i^2), so
+    they are computed in exactly that centered form; noiseless data with
+    sigma = 0 therefore gives exact zeros.
+    """
+    if not grid.includes_infinity:
+        raise ValueError("the deviation sup is defined over a grid closed by +inf")
+    e2 = expected_data_power(dec, xstar_coords, sigma)
+    centered = coords.y_coords**2 - e2
+    d1 = centered @ prediction_weight_table(dec, grid)
+    d2 = centered[: dec.r] @ estimation_weight_table(dec, grid)
+    return float(np.max(np.abs(d1))), float(np.max(np.abs(d2)))
+
+
+def mean_sup_deviation(records, which: str) -> float:
+    if which == "psure":
+        return float(np.mean([rec.sup_dev_psure for rec in records]))
+    if which == "gsure":
+        return float(np.mean([rec.sup_dev_gsure for rec in records]))
+    raise ValueError(f"unknown deviation kind {which!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class RateFit:
+    slope: float
+    intercept: float
+    n_points: int
+
+
+RATE_NORMALIZATIONS = ("psure", "gsure_cond", "gsure_plain")
+
+
+def rate_check(per_m, normalization: str) -> RateFit:
+    """Least-squares slope of the normalized deviation statistic vs size.
+
+    per_m holds (m, mean_sup, cond) triples, one per problem size, where
+    mean_sup is the sample mean over draws of the grid sup deviation.
+    'psure' and 'gsure_plain' normalize by m, 'gsure_cond' by m*cond^2;
+    the fit is log10(statistic) against log10(m).
+    """
+    if normalization not in RATE_NORMALIZATIONS:
+        raise ValueError(
+            f"unknown normalization {normalization!r}, "
+            f"expected one of {RATE_NORMALIZATIONS}"
+        )
+    pts = sorted((int(m), float(s), float(c)) for m, s, c in per_m)
+    if len(pts) < 2:
+        raise ValueError("need at least two sizes for a rate fit")
+    x = np.array([math.log10(m) for m, _, _ in pts])
+    if normalization == "gsure_cond":
+        stat = [s / (m * c * c) for m, s, c in pts]
+    else:
+        stat = [s / m for m, s, _ in pts]
+    y = np.log10(np.asarray(stat))
+    slope, intercept = np.polyfit(x, y, 1)
+    return RateFit(float(slope), float(intercept), len(pts))
+
+
+def _errors_for(records, rule, metric="l2"):
+    if metric == "l2":
+        return np.array([rec.outcomes[rule].error_l2 for rec in records])
+    if metric == "l1":
+        return np.array([rec.outcomes[rule].error_l1 for rec in records])
+    raise ValueError(f"unknown error metric {metric!r}")
+
+
+def error_stats(records, rule, metric="l2") -> dict:
+    """Descriptive statistics of the per-draw error for one rule."""
+    if not records:
+        raise ValueError("no records")
+    errs = _errors_for(records, rule, metric)
+    return {
+        "min": float(np.min(errs)),
+        "max": float(np.max(errs)),
+        "mean": float(np.mean(errs)),
+        "median": float(np.median(errs)),
+        "std": float(np.std(errs)),
+    }
+
+
+def win_fraction(records, rule_a, rule_b, metric="l2") -> float:
+    """Fraction of draws where rule_a's error beats rule_b's; ties 1/2."""
+    a = _errors_for(records, rule_a, metric)
+    b = _errors_for(records, rule_b, metric)
+    return float((np.sum(a < b) + 0.5 * np.sum(a == b)) / a.size)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class HistogramSpec:
+    """Bin layout for one histogram axis.
+
+    axis 'alpha' bins log10 of the selected strengths on the grid
+    lattice; 'log10_error' bins log10 of the errors. zero_count_floor is
+    the display value substituted for empty bins on export; stored
+    counts are never altered.
+    """
+
+    axis: str
+    edges: np.ndarray
+    zero_count_floor: float
+
+
+@dataclasses.dataclass(eq=False)
+class HistogramResult:
+    spec: HistogramSpec
+    counts: np.ndarray
+    probs: np.ndarray
+    floored_probs: np.ndarray
+    n_records: int
+    n_infinite: int
+
+
+def alpha_histogram_spec(grid: AlphaGrid, n_draws: int) -> HistogramSpec:
+    lattice = grid.log10_min + grid.step * np.arange(grid.n_finite)
+    edges = np.concatenate(
+        [lattice - 0.5 * grid.step, [lattice[-1] + 0.5 * grid.step]]
+    )
+    return HistogramSpec("alpha", edges, 0.5 / n_draws)
+
+
+def log_error_histogram_spec(records, rule, n_bins: int = 200,
+                             metric="l2") -> HistogramSpec:
+    errs = _errors_for(records, rule, metric)
+    logs = np.log10(errs[errs > 0])
+    if logs.size == 0:
+        raise ValueError("no positive errors to bin")
+    lo = float(np.min(logs))
+    hi = float(np.max(logs))
+    if hi <= lo:
+        hi = lo + 1.0
+    return HistogramSpec(
+        "log10_error", np.linspace(lo, hi, n_bins + 1), 0.5 / len(records)
+    )
+
+
+def histogram(records, rule, spec: HistogramSpec, metric="l2") -> HistogramResult:
+    """Empirical distribution of one rule's selections or errors.
+
+    Probabilities are counts over the number of records; infinite
+    selections are tallied separately (n_infinite) so the total mass
+    including them is 1 whenever the edges cover the finite data.
+    """
+    if spec.axis == "alpha":
+        raw = np.array([rec.outcomes[rule].alpha_hat for rec in records])
+        finite = raw[np.isfinite(raw)]
+        n_infinite = int(raw.size - finite.size)
+        data = np.log10(finite)
+    elif spec.axis == "log10_error":
+        errs = _errors_for(records, rule, metric)
+        n_infinite = 0
+        data = np.log10(errs[errs > 0])
+    else:
+        raise ValueError(f"unknown histogram axis {spec.axis!r}")
+    counts, _ = np.histogram(data, bins=spec.edges)
+    n = len(records)
+    probs = counts / n
+    floored = np.where(counts == 0, spec.zero_count_floor, probs)
+    return HistogramResult(
+        spec=spec,
+        counts=counts,
+        probs=probs,
+        floored_probs=floored,
+        n_records=n,
+        n_infinite=n_infinite,
+    )
+
+
+@dataclasses.dataclass(eq=False)
+class JointHistogram:
+    edges_a: np.ndarray
+    edges_b: np.ndarray
+    counts: np.ndarray
+    probs: np.ndarray
+    log10_floored: np.ndarray
+    floor: float
+
+
+def joint_histogram(records, rule_a, rule_b, n_bins: int = 60,
+                    metric="l2") -> JointHistogram:
+    """2-D empirical distribution of log10 errors for a pair of rules.
+
+    The exported array holds log10 of the probabilities with empty bins
+    floored at 1/(2N); stored counts stay untouched, and the marginals
+    of `counts` reproduce the matching 1-D histograms.
+    """
+    va = np.log10(_errors_for(records, rule_a, metric))
+    vb = np.log10(_errors_for(records, rule_b, metric))
+
+    def _edges(v):
+        lo, hi = float(np.min(v)), float(np.max(v))
+        if hi <= lo:
+            hi = lo + 1.0
+        return np.linspace(lo, hi, n_bins + 1)
+
+    ea, eb = _edges(va), _edges(vb)
+    counts, _, _ = np.histogram2d(va, vb, bins=[ea, eb])
+    n = len(records)
+    probs = counts / n
+    floor = 0.5 / n
+    log10_floored = np.log10(np.where(counts == 0, floor, probs))
+    return JointHistogram(
+        edges_a=ea, edges_b=eb, counts=counts, probs=probs,
+        log10_floored=log10_floored, floor=floor,
+    )
+
+
+def loss_closeness_stats(per_m, quantiles=(0.25, 0.5, 0.75)) -> dict:
+    """Quantiles of the loss-tracking sup statistics against size.
+
+    per_m holds (m, psure_sups, gsure_sups, d_value) tuples, where the
+    sups are per-draw samples of sup|estimate/m - loss| and
+    sup|c * estimate - scaled loss|, and d_value is the theoretical
+    scale c*sqrt(sum 1/gamma^4) for that size. Returns the quantile
+    curves plus 1/sqrt(m) and d_value overlays for plotting.
+    """
+    entries = sorted(per_m, key=lambda t: t[0])
+    if not entries:
+        raise ValueError("no per-size samples")
+    ms = np.array([int(t[0]) for t in entries])
+    q = np.asarray(quantiles, dtype=float)
+    psure_q = np.column_stack(
+        [np.quantile(np.asarray(t[1], dtype=float), q) for t in entries]
+    )
+    gsure_q = np.column_stack(
+        [np.quantile(np.asarray(t[2], dtype=float), q) for t in entries]
+    )
+    return {
+        "m": ms,
+        "quantiles": q,
+        "psure_quantiles": psure_q,
+        "gsure_quantiles": gsure_q,
+        "overlay_inv_sqrt_m": 1.0 / np.sqrt(ms.astype(float)),
+        "overlay_d": np.array([float(t[3]) for t in entries]),
+    }
+
+
+# export / import
+
+
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _csv_columns(rules, include_loss: bool):
+    cols = ["draw_index"]
+    for rule in rules:
+        cols += [
+            f"{rule}_alpha",
+            f"{rule}_error_l2",
+            f"{rule}_error_l1",
+            f"{rule}_at_boundary",
+        ]
+    cols += ["sup_dev_psure", "sup_dev_gsure"]
+    if include_loss:
+        cols += ["sup_loss_psure", "sup_loss_gsure"]
+    return cols
+
+
+def write_records_csv(records, rules, path) -> None:
+    """One row per draw, floats at 17 significant digits for exact
+    round-trips."""
+    include_loss = bool(records) and records[0].sup_loss_psure is not None
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_csv_columns(rules, include_loss))
+        for rec in records:
+            row = [str(rec.draw_index)]
+            for rule in rules:
+                out = rec.outcomes[rule]
+                row += [
+                    _fmt(out.alpha_hat),
+                    _fmt(out.error_l2),
+                    _fmt(out.error_l1),
+                    "1" if out.at_boundary else "0",
+                ]
+            row += [_fmt(rec.sup_dev_psure), _fmt(rec.sup_dev_gsure)]
+            if include_loss:
+                row += [_fmt(rec.sup_loss_psure), _fmt(rec.sup_loss_gsure)]
+            writer.writerow(row)
+
+
+def read_records_csv(path):
+    """Inverse of write_records_csv; returns (records, rules)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rules = [c[: -len("_alpha")] for c in header if c.endswith("_alpha")]
+        include_loss = "sup_loss_psure" in header
+        records = []
+        for row in reader:
+            vals = dict(zip(header, row))
+            outcomes = {
+                rule: RuleOutcome(
+                    alpha_hat=float(vals[f"{rule}_alpha"]),
+                    error_l2=float(vals[f"{rule}_error_l2"]),
+                    error_l1=float(vals[f"{rule}_error_l1"]),
+                    at_boundary=vals[f"{rule}_at_boundary"] == "1",
+                )
+                for rule in rules
+            }
+            records.append(
+                StudyRecord(
+                    draw_index=int(vals["draw_index"]),
+                    outcomes=outcomes,
+                    sup_dev_psure=float(vals["sup_dev_psure"]),
+                    sup_dev_gsure=float(vals["sup_dev_gsure"]),
+                    sup_loss_psure=(
+                        float(vals["sup_loss_psure"]) if include_loss else None),
+                    sup_loss_gsure=(
+                        float(vals["sup_loss_gsure"]) if include_loss else None),
+                )
+            )
+    return records, rules
+
+
+def _config_dict(config: StudyConfig) -> dict:
+    d = dataclasses.asdict(config)
+    d["rules"] = list(config.rules)
+    return d
+
+
+def summary_json(config: StudyConfig, records, problem_hash_value=None) -> dict:
+    """Aggregate statistics in a serializable form; schema versioned."""
+    summary = {
+        "schema_version": SCHEMA_VERSION,
+        "config": _config_dict(config),
+        "n_draws": len(records),
+        "problem_hash": problem_hash_value,
+        "stats_l2": {rule: error_stats(records, rule) for rule in config.rules},
+        "stats_l1": {
+            rule: error_stats(records, rule, metric="l1") for rule in config.rules
+        },
+        "mean_sup_dev": {
+            "psure": mean_sup_deviation(records, "psure"),
+            "gsure": mean_sup_deviation(records, "gsure"),
+        },
+    }
+    if "dp" in config.rules:
+        summary["win_fractions_vs_dp"] = {
+            rule: win_fraction(records, rule, "dp")
+            for rule in config.rules
+            if rule != "dp"
+        }
+    return summary
+
+
+def write_summary_json(summary: dict, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
