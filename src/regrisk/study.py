@@ -3,10 +3,19 @@ distributions, sup-deviation statistics and log-log rate fits.
 
 The quadratic path batches draws into fixed-size chunks and evaluates
 whole rule curves as matrix products against precomputed weight tables,
-so the per-draw cost is a handful of GEMMs. Chunk boundaries and the
-per-draw seed derivation are independent of the worker count, and the
-reduction keeps draw order, so results are bit-identical no matter how
-the work is scheduled.
+so the per-draw cost is a handful of GEMMs. A chunk makes one pass over
+column blocks of the alpha grid: each block gets its GEMMs and its
+elementwise work in a few reused work arrays, and running reductions
+carry the sup deviations, the rule argmins (ties to the larger alpha),
+the count of negative discrepancies and the first non-finite entry of
+each checked matrix from block to block. Memory is O(chunk x block), and
+no (chunk x grid) array is built. The blocks are wide enough that the
+blocked products equal full-grid ones bit for bit (see _column_spans).
+After the pass the discrepancy roots of all draws of the chunk are
+bisected together, each draw with its own bracket and stopping rule.
+Chunk boundaries and the per-draw seed derivation are independent of the
+worker count, and the reduction keeps draw order, so results are
+bit-identical no matter how the work is scheduled.
 
 The l1 path runs two passes over the same draws: the first accumulates
 sample-mean curves of the risk estimates (these stand in for the exact
@@ -72,6 +81,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 KNOWN_RULES = ("oracle", "dp", "psure", "sure")
 CHUNK = 512  # draws per batch; fixed so scheduling cannot change results
+BLOCK = 512  # grid columns per pass over a chunk; see _column_spans
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,19 +137,15 @@ class StudyRecord:
     sup_loss_gsure: float | None = None
 
 
-def _argmin_rows_tie_larger(mat: np.ndarray) -> np.ndarray:
-    # ties go to the larger alpha, hence argmin over reversed columns
-    return mat.shape[1] - 1 - np.argmin(mat[:, ::-1], axis=1)
+def _not_finite(name, draw, alpha) -> NumericError:
+    return NumericError(f"{name} is not finite at draw {draw}, alpha={alpha!r}")
 
 
 def _ensure_finite(mat, name, start_index, grid):
     if np.all(np.isfinite(mat)):
         return
     rows, cols = np.nonzero(~np.isfinite(np.atleast_2d(mat)))
-    raise NumericError(
-        f"{name} is not finite at draw {start_index + int(rows[0])}, "
-        f"alpha={grid.values[int(cols[0])]!r}"
-    )
+    raise _not_finite(name, start_index + int(rows[0]), grid.values[int(cols[0])])
 
 
 def _draw_noise_block(children, sigma, m) -> np.ndarray:
@@ -152,6 +158,7 @@ def _draw_noise_block(children, sigma, m) -> np.ndarray:
 def _quadratic_tables(cfg, problem, dec):
     T = SimpleNamespace()
     grid = cfg.grid
+    s2 = cfg.sigma * cfg.sigma
     xs_full = dec.V.T @ problem.x_star
     r = dec.r
     T.xs_full = xs_full
@@ -160,10 +167,12 @@ def _quadratic_tables(cfg, problem, dec):
     T.W1 = prediction_weight_table(dec, grid)
     T.W2 = estimation_weight_table(dec, grid)
     T.F = filter_table(dec, grid)
-    T.F2 = T.F * T.F
-    T.df_row = df_table(dec, grid)
-    T.gdf_row = gdf_table(dec, grid)
-    T.s1 = trace_pinv_gram(dec)
+    # the affine parts of psure and gsure; a huge sigma may overflow them,
+    # which the chunk's non-finite checks report
+    with np.errstate(over="ignore", invalid="ignore"):
+        T.psure_shift = 2.0 * s2 * df_table(dec, grid)
+        T.gsure_shift = 2.0 * s2 * gdf_table(dec, grid)
+        T.s2s1 = s2 * trace_pinv_gram(dec)
     T.e2 = expected_data_power(dec, xs_full, cfg.sigma)
     T.e2w1 = T.e2 @ T.W1
     T.e2w2 = T.e2[:r] @ T.W2
@@ -175,27 +184,106 @@ def _quadratic_tables(cfg, problem, dec):
     if cfg.metric == "l2_prediction" or cfg.track_loss_closeness:
         gx = T.g * T.xs_r
         T.c0_pred = neumaier_sum(gx * gx)
-        T.gF = T.g[:, None] * T.F
-        T.gF2 = T.gF * T.gF
+        gF = T.g[:, None] * T.F
+        T.gF2 = gF * gF
     if cfg.track_loss_closeness:
         T.c_m = c_constant(dec)
         T.c0_tilde = neumaier_sum(T.xs_r * T.xs_r)
     return T
 
 
-def _dp_root_for_draw(g, y2_head, tail, msig2, lo, hi, rel_tol=1e-6):
+def _column_spans(K, c):
+    """[start, stop) column blocks for a chunk of c draws.
+
+    Blocks are BLOCK * (CHUNK // c) columns wide, so every block holds
+    about CHUNK x BLOCK entries, and the last one also takes the
+    remainder. Blocks this large, and no narrower than the chunk, keep
+    each GEMM on the path OpenBLAS takes for the full-grid product, so
+    the blocked products equal it bit for bit. A narrow last block could
+    go to the small-matrix kernel or be split between threads another
+    way, which changed the sums in the grid's last two columns (the
+    GEMM's N remainder).
+    """
+    width = BLOCK * max(1, CHUNK // c)
+    starts = list(range(0, max(K - width, 0) + 1, width))
+    return list(zip(starts, starts[1:] + [K]))
+
+
+def _block_argmin(blk, spare):
+    """Row minima of a block and their columns.
+
+    Ties (and NaN) go to the larger alpha, hence argmin over reversed
+    columns. The reversed rows are copied into spare, a free work block;
+    argmin would otherwise copy them into a new array.
+    """
+    np.copyto(spare, blk[:, ::-1])
+    local = blk.shape[1] - 1 - np.argmin(spare, axis=1)
+    return local, blk[np.arange(blk.shape[0]), local]
+
+
+class _RunningArgmin:
+    """Row argmin over a sweep of column blocks, with the true error at
+    the chosen column carried along.
+
+    As within a block, ties and NaN go to the larger alpha: a later block
+    wins an equal value.
+    """
+
+    def __init__(self, c):
+        self.value = np.full(c, np.inf)
+        self.index = np.zeros(c, dtype=np.intp)
+        self.err2 = np.zeros(c)
+
+    def update(self, local, value, start, err2_blk):
+        take = (value <= self.value) | np.isnan(value)
+        self.value = np.where(take, value, self.value)
+        self.index = np.where(take, start + local, self.index)
+        self.err2 = np.where(
+            take, err2_blk[np.arange(local.size), local], self.err2)
+
+
+class _FirstNonFinite:
+    """First non-finite column of each row over a sweep of column blocks."""
+
+    def __init__(self, name, c):
+        self.name = name
+        self.col = np.full(c, -1, dtype=np.intp)
+
+    def update(self, blk, start):
+        finite = np.isfinite(blk)
+        if finite.all():
+            return
+        bad = ~finite
+        new = bad.any(axis=1) & (self.col < 0)
+        self.col[new] = start + np.argmax(bad[new], axis=1)
+
+    def raise_first(self, start_index, grid):
+        rows = np.flatnonzero(self.col >= 0)
+        if rows.size:
+            j = int(rows[0])
+            raise _not_finite(
+                self.name, start_index + j, grid.values[int(self.col[j])])
+
+
+def _dp_roots(g, Y2r, tails, msig2, lo, hi, rel_tol=1e-6):
+    """Bisect the discrepancy of all draws of a chunk at once.
+
+    Y2r is (r, c), lo/hi/tails are (c,). Every draw keeps its own bracket
+    and stops when that bracket is narrower than rel_tol * lo, so it sees
+    the midpoints of a one-draw bisection. Each draw's sum is a row @
+    column matmul against its own strided column of Y2r, the BLAS dot a
+    one-draw `w @ y2` makes, so the signs and roots are the same as well.
+    """
     g2 = g * g
-
-    def value(a):
-        w = (a / (g2 + a)) ** 2
-        return float(w @ y2_head) + tail - msig2
-
-    while hi - lo > rel_tol * lo:
+    y2 = Y2r.T[:, :, None]
+    active = hi - lo > rel_tol * lo
+    while np.any(active):
         mid = 0.5 * (lo + hi)
-        if value(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
+        w = (mid[:, None] / (g2[None, :] + mid[:, None])) ** 2
+        up = np.matmul(w[:, None, :], y2)[:, 0, 0] + tails - msig2 >= 0.0
+        hi = np.where(active & up, mid, hi)
+        lo = np.where(active & ~up, mid, lo)
+        active = hi - lo > rel_tol * lo
     return 0.5 * (lo + hi)
 
 
@@ -210,80 +298,123 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
     s2 = sigma * sigma
     msig2 = m * s2
     c = len(children)
+    rules = cfg.rules
+    oracle = cfg.metric if "oracle" in rules else None
+    track = cfg.track_loss_closeness
+    dp_on = "dp" in rules
+    pred_on = track or oracle == "l2_prediction"
 
-    # extreme inputs are allowed to overflow here; _ensure_finite below
-    # turns any inf/nan into a NumericError naming draw and alpha
+    picks = {rule: _RunningArgmin(c)
+             for rule in ("oracle", "psure", "sure") if rule in rules}
+    checks = (  # raised in this order, after the sweep
+        _FirstNonFinite("prediction-risk estimate", c),
+        _FirstNonFinite("estimation-risk estimate", c),
+        _FirstNonFinite("true error", c),
+    )
+    sup_psure = np.zeros(c)
+    sup_gsure = np.zeros(c)
+    sup_loss_p = np.zeros(c) if track else None
+    sup_loss_g = np.zeros(c) if track else None
+    neg_count = np.zeros(c, dtype=np.intp)
+
+    spans = _column_spans(K, c)
+    width = max(b - a for a, b in spans)
+    work = np.empty((4 if track else 3, c * width))
+    squares = np.empty(r * width)  # F**2 of a block, the quad-term table
+
+    def rowmax_abs(x):
+        return np.max(np.abs(x, out=x), axis=1)
+
+    # extreme inputs are allowed to overflow here; the non-finite checks
+    # turn any inf/nan into a NumericError naming draw and alpha
     with np.errstate(over="ignore", invalid="ignore"):
         eps = _draw_noise_block(children, sigma, m)
         Yc = T.signal[:, None] + dec.U.T @ eps
         Y2 = Yc * Yc
+        Y2_t = Y2.T  # (c, m)
         Y2r_t = Y2[:r].T  # (c, r)
+        X = (Yc[:r] * T.xs_r[:, None]).T
+        if pred_on:
+            Xp = (Yc[:r] * (T.g * T.g * T.xs_r)[:, None]).T
 
-        res_mat = Y2.T @ T.W1  # residual sums, (c, K)
-        dp_mat = res_mat - msig2
-        psure_mat = dp_mat + 2.0 * s2 * T.df_row[None, :]
-        gfit_mat = Y2r_t @ T.W2
-        gsure_mat = gfit_mat - s2 * T.s1 + 2.0 * s2 * T.gdf_row[None, :]
+        # Each block's matrices are computed in place in the work rows,
+        # in the same operation order as whole-grid expressions would use.
+        for a, b in spans:
+            P, S, Q, *R = (row[: c * (b - a)].reshape(c, b - a) for row in work)
+            Fb = T.F[:, a:b]
+            cand = {}
 
-        # deviations from the exact risk curves share the random term, so
-        # the df parts cancel and a single centered product gives both
-        sup_psure = np.max(np.abs(res_mat - T.e2w1[None, :]), axis=1)
-        sup_gsure = np.max(np.abs(gfit_mat - T.e2w2[None, :]), axis=1)
+            np.matmul(Y2_t, T.W1[:, a:b], out=P)  # residual sums
+            # the deviations from the exact risk curves share the random
+            # term, so the df parts cancel and the centered sums give both
+            sup_psure = np.maximum(
+                sup_psure, rowmax_abs(np.subtract(P, T.e2w1[a:b], out=S)))
+            np.subtract(P, msig2, out=P)  # discrepancy
+            if dp_on and a < nf:
+                neg_count += np.count_nonzero(P[:, : min(b, nf) - a] < 0.0, axis=1)
+            np.add(P, T.psure_shift[a:b], out=P)  # psure
+            checks[0].update(P, a)
+            if "psure" in picks:
+                cand["psure"] = _block_argmin(P, S)
 
-        cross = (Yc[:r] * T.xs_r[:, None]).T @ T.F
-        err2 = T.c0_est - 2.0 * cross + Y2r_t @ T.F2
-    np.maximum(err2, 0.0, out=err2)
+            if pred_on:
+                # m * prediction loss: c0_pred - 2 cross_pred + quad_pred
+                np.matmul(Xp, Fb, out=S)
+                np.subtract(T.c0_pred, np.multiply(S, 2.0, out=S), out=S)
+                np.add(S, np.matmul(Y2r_t, T.gF2[:, a:b], out=Q), out=S)
+                if oracle == "l2_prediction":
+                    cand["oracle"] = _block_argmin(S, Q)
+                if track:
+                    np.divide(P, m, out=Q)
+                    np.subtract(Q, np.divide(S, m, out=S), out=Q)
+                    sup_loss_p = np.maximum(sup_loss_p, rowmax_abs(Q))
 
-    _ensure_finite(psure_mat, "prediction-risk estimate", start_index, grid)
-    _ensure_finite(gsure_mat, "estimation-risk estimate", start_index, grid)
-    _ensure_finite(err2, "true error", start_index, grid)
+            np.matmul(Y2r_t, T.W2[:, a:b], out=P)  # estimation-side sums
+            sup_gsure = np.maximum(
+                sup_gsure, rowmax_abs(np.subtract(P, T.e2w2[a:b], out=S)))
+            np.subtract(P, T.s2s1, out=P)
+            np.add(P, T.gsure_shift[a:b], out=P)  # gsure
+            checks[1].update(P, a)
+            if "sure" in picks:
+                cand["sure"] = _block_argmin(P, S)
 
-    sup_loss_p = sup_loss_g = None
-    if cfg.track_loss_closeness:
-        cross_pred = (Yc[:r] * (T.g * T.g * T.xs_r)[:, None]).T @ T.F
-        loss_mat = (T.c0_pred - 2.0 * cross_pred + Y2r_t @ T.gF2) / m
-        sup_loss_p = np.max(np.abs(psure_mat / m - loss_mat), axis=1)
-        tilde_mat = T.c_m * (T.c0_tilde - 2.0 * cross + Y2r_t @ T.F2)
-        sup_loss_g = np.max(np.abs(T.c_m * gsure_mat - tilde_mat), axis=1)
+            np.multiply(np.matmul(X, Fb, out=S), 2.0, out=S)  # 2 cross
+            F2b = np.multiply(Fb, Fb, out=squares[: r * (b - a)].reshape(r, b - a))
+            np.matmul(Y2r_t, F2b, out=Q)  # quad
+            if track:
+                tilde = R[0]
+                np.subtract(T.c0_tilde, S, out=tilde)
+                np.multiply(np.add(tilde, Q, out=tilde), T.c_m, out=tilde)
+                np.subtract(np.multiply(P, T.c_m, out=P), tilde, out=P)
+                sup_loss_g = np.maximum(sup_loss_g, rowmax_abs(P))
+            err2 = np.add(np.subtract(T.c0_est, S, out=S), Q, out=S)
+            np.maximum(err2, 0.0, out=err2)
+            checks[2].update(err2, a)
 
-    selections = {}
-    if "oracle" in cfg.rules:
-        if cfg.metric == "l2_estimation":
-            sel_mat = err2
-        elif cfg.metric == "l2_prediction":
-            cross_pred = (Yc[:r] * (T.g * T.g * T.xs_r)[:, None]).T @ T.F
-            sel_mat = T.c0_pred - 2.0 * cross_pred + Y2r_t @ T.gF2
-        else:  # l1 needs physical reconstructions for the whole grid
-            sel_mat = np.empty((c, K))
-            for j in range(c):
-                coeffs = T.F * Yc[:r, j][:, None]
-                diff = T.x_phys[:, None] - T.V_r @ coeffs
-                sel_mat[j] = np.sum(np.abs(diff), axis=0)
-        selections["oracle"] = _argmin_rows_tie_larger(sel_mat)
-    if "psure" in cfg.rules:
-        selections["psure"] = _argmin_rows_tie_larger(psure_mat)
-    if "sure" in cfg.rules:
-        selections["sure"] = _argmin_rows_tie_larger(gsure_mat)
+            if oracle == "l2_estimation":
+                cand["oracle"] = _block_argmin(err2, Q)
+            elif oracle == "l1":  # physical reconstructions of the block
+                for j in range(c):
+                    diff = T.x_phys[:, None] - T.V_r @ (Fb * Yc[:r, j][:, None])
+                    Q[j] = np.sum(np.abs(diff), axis=0)
+                cand["oracle"] = _block_argmin(Q, P)
+            for rule, (local, value) in cand.items():
+                picks[rule].update(local, value, a, err2)
+
+    for check in checks:
+        check.raise_first(start_index, grid)
 
     dp_alpha = dp_flag = None
-    if "dp" in cfg.rules:
-        neg_count = np.sum(dp_mat[:, :nf] < 0.0, axis=1)
-        dp_alpha = np.empty(c)
-        dp_flag = np.zeros(c, dtype=bool)
+    if dp_on:
+        dp_flag = (neg_count == 0) | (neg_count == nf)
+        inside = ~dp_flag
+        k = np.where(inside, neg_count, 0)
+        lo = np.where(inside, vals[k - 1], 1.0)
+        hi = np.where(inside, vals[k], 1.0)
         tails = Y2[r:].sum(axis=0) if r < m else np.zeros(c)
-        for j in range(c):
-            k = int(neg_count[j])
-            if k == 0:
-                dp_alpha[j] = vals[0]
-                dp_flag[j] = True
-            elif k == nf:
-                dp_alpha[j] = vals[K - 1]
-                dp_flag[j] = True
-            else:
-                dp_alpha[j] = _dp_root_for_draw(
-                    T.g, Y2[:r, j], float(tails[j]), msig2,
-                    float(vals[k - 1]), float(vals[k]),
-                )
+        dp_alpha = _dp_roots(T.g, Y2[:r], tails, msig2, lo, hi)
+        dp_alpha[neg_count == 0] = vals[0]
+        dp_alpha[neg_count == nf] = vals[K - 1]
 
     def errors_at_filters(Fsel):
         # Fsel: (r, c) filter factors at each draw's selected alpha
@@ -297,11 +428,11 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
         return np.sqrt(np.maximum(e2, 0.0)), np.sum(np.abs(diff), axis=0)
 
     per_rule = {}
-    for rule, idx in selections.items():
-        e_l2 = np.sqrt(err2[np.arange(c), idx])
+    for rule, pick in picks.items():
+        idx = pick.index
         _, e_l1 = errors_at_filters(T.F[:, idx])
         per_rule[rule] = (
-            vals[idx], e_l2, e_l1, (idx == 0) | (idx == K - 1))
+            vals[idx], np.sqrt(pick.err2), e_l1, (idx == 0) | (idx == K - 1))
     if dp_alpha is not None:
         with np.errstate(invalid="ignore"):
             Fdp = T.g[:, None] / (T.g[:, None] ** 2 + dp_alpha[None, :])
@@ -312,7 +443,7 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
     records = []
     for j in range(c):
         outcomes = {}
-        for rule in cfg.rules:
+        for rule in rules:
             a, e2v, e1v, flags = per_rule[rule]
             outcomes[rule] = RuleOutcome(
                 alpha_hat=float(a[j]),

@@ -1,19 +1,24 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from regrisk import study
 from regrisk import (
     AdmmParams,
     AlphaGrid,
+    NumericError,
     RuleOutcome,
     StudyConfig,
     StudyRecord,
     admm_all_at_once,
     alpha_histogram_spec,
+    build_problem,
     decompose,
     default_quadratic_grid,
+    dp_curve,
     dp_select,
     error_stats,
     gsure_select,
@@ -45,6 +50,10 @@ from regrisk import (
 )
 
 GRID = AlphaGrid(-12.0, 12.0, 0.05, includes_infinity=True)
+# 2402 columns: a chunk of more than CHUNK / 2 draws sweeps it in blocks
+# of BLOCK columns, the last one ragged and holding the +inf slot
+SEAM_GRID = AlphaGrid(-12.0, 12.0, 0.01, includes_infinity=True)
+SEAM_DRAWS = 300
 
 
 def small_config(**kw):
@@ -81,37 +90,44 @@ def _draw(problem, cfg, index):
     return problem.A @ problem.x_star + cfg.sigma * rng.standard_normal(cfg.m)
 
 
-def test_quadratic_records_match_rule_functions(problem16, dec16):
-    cfg = small_config()
+def test_seam_grid_spans_several_blocks():
+    spans = study._column_spans(len(SEAM_GRID), SEAM_DRAWS)
+    assert len(spans) >= 3
+    start, stop = spans[-1]
+    assert (stop - start) % study.BLOCK != 0
+    assert stop == len(SEAM_GRID) and np.isinf(SEAM_GRID.values[-1])
+
+
+def _check_records_against_rule_functions(problem, dec, cfg, draws):
     extras = {}
-    records = run_study(cfg, problem=problem16, dec=dec16, extras=extras)
+    records = run_study(cfg, problem=problem, dec=dec, extras=extras)
     assert len(records) == cfg.n_draws
     assert "problem_hash" in extras
-    xs = dec16.V.T @ problem16.x_star
-    for j in (0, 3, 5):
+    xs = dec.V.T @ problem.x_star
+    for j in draws:
         rec = records[j]
         assert rec.draw_index == j
-        y = _draw(problem16, cfg, j)
-        coords = to_spectral(dec16, y, problem16.x_star)
+        y = _draw(problem, cfg, j)
+        coords = to_spectral(dec, y, problem.x_star)
 
-        sel_psure = psure_select(dec16, coords, cfg.grid, cfg.sigma)
+        sel_psure = psure_select(dec, coords, cfg.grid, cfg.sigma)
         assert rec.outcomes["psure"].alpha_hat == pytest.approx(
             sel_psure.alpha_hat, rel=1e-12)
-        sel_sure = gsure_select(dec16, coords, cfg.grid, cfg.sigma)
+        sel_sure = gsure_select(dec, coords, cfg.grid, cfg.sigma)
         assert rec.outcomes["sure"].alpha_hat == pytest.approx(
             sel_sure.alpha_hat, rel=1e-12)
-        sel_oracle = oracle_select(dec16, coords, xs, cfg.grid)
+        sel_oracle = oracle_select(dec, coords, xs, cfg.grid)
         assert rec.outcomes["oracle"].alpha_hat == pytest.approx(
             sel_oracle.alpha_hat, rel=1e-12)
-        sel_dp = dp_select(dec16, coords, cfg.grid, cfg.sigma)
+        sel_dp = dp_select(dec, coords, cfg.grid, cfg.sigma)
         assert rec.outcomes["dp"].alpha_hat == pytest.approx(
             sel_dp.alpha_hat, rel=1e-5)
         assert rec.outcomes["dp"].at_boundary == sel_dp.at_boundary
 
         for rule in cfg.rules:
             alpha = rec.outcomes[rule].alpha_hat
-            xhat = tikhonov_solve(dec16, coords, alpha)[1]
-            diff = problem16.x_star - xhat
+            xhat = tikhonov_solve(dec, coords, alpha)[1]
+            diff = problem.x_star - xhat
             np.testing.assert_allclose(
                 rec.outcomes[rule].error_l2, np.linalg.norm(diff),
                 rtol=1e-6, atol=1e-9)
@@ -119,23 +135,205 @@ def test_quadratic_records_match_rule_functions(problem16, dec16):
                 rec.outcomes[rule].error_l1, np.sum(np.abs(diff)),
                 rtol=1e-6, atol=1e-9)
 
-        s1, s2 = sup_deviation(dec16, coords, xs, cfg.grid, cfg.sigma)
+        s1, s2 = sup_deviation(dec, coords, xs, cfg.grid, cfg.sigma)
         np.testing.assert_allclose(rec.sup_dev_psure, s1, rtol=1e-7)
         np.testing.assert_allclose(rec.sup_dev_gsure, s2, rtol=1e-7)
 
 
-def test_quadratic_workers_bit_identical(problem16, dec16):
+def test_quadratic_records_match_rule_functions(problem16, dec16):
+    _check_records_against_rule_functions(problem16, dec16, small_config(),
+                                          (0, 3, 5))
+
+
+def test_blocked_records_match_rule_functions(problem16, dec16):
+    # selections and sups across block seams, with the ragged last block
+    cfg = small_config(grid=SEAM_GRID, n_draws=SEAM_DRAWS)
+    _check_records_against_rule_functions(problem16, dec16, cfg,
+                                          (0, 3, 5, 150, 299))
+
+
+def test_quadratic_workers_bit_identical(problem16, dec16, monkeypatch):
     # chunking and seed derivation are fixed, so threads cannot change
     # a single bit of the output
-    cfg = small_config(n_draws=40)
+    pools = []
+
+    class SpyPool(study.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(study, "ThreadPoolExecutor", SpyPool)
+    cfg = small_config(n_draws=2 * study.CHUNK + 37)
     a = run_study(cfg, problem=problem16, dec=dec16, workers=1)
+    assert not pools
     b = run_study(cfg, problem=problem16, dec=dec16, workers=4)
-    for ra, rb in zip(a, b):
-        assert ra.sup_dev_psure == rb.sup_dev_psure
-        assert ra.sup_dev_gsure == rb.sup_dev_gsure
-        for rule in cfg.rules:
-            assert ra.outcomes[rule].alpha_hat == rb.outcomes[rule].alpha_hat
-            assert ra.outcomes[rule].error_l2 == rb.outcomes[rule].error_l2
+    assert len(pools) == 1
+    assert [dataclasses.asdict(r) for r in a] == [dataclasses.asdict(r) for r in b]
+
+
+def test_blocked_pass_equals_whole_grid_matrices(problem16, dec16):
+    # The evaluator without column blocks: every (draws x grid) matrix
+    # built whole. The blocked pass must give the same bits; 150 draws at
+    # m = 16 is a chunk for which a narrow last block of 322 columns went
+    # to another OpenBLAS kernel and changed the sums at the +inf end.
+    cfg = small_config(grid=default_quadratic_grid(), n_draws=150)
+    records = run_study(cfg, problem=problem16, dec=dec16)
+
+    T = study._quadratic_tables(cfg, problem16, dec16)
+    children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.n_draws)
+    eps = study._draw_noise_block(children, cfg.sigma, 16)
+    Yc = T.signal[:, None] + dec16.U.T @ eps
+    Y2 = Yc * Yc
+    Y2r_t = Y2[: dec16.r].T
+    res = Y2.T @ T.W1
+    gfit = Y2r_t @ T.W2
+    psure = res - 16 * (cfg.sigma * cfg.sigma) + T.psure_shift
+    gsure = gfit - T.s2s1 + T.gsure_shift
+    cross = (Yc[: dec16.r] * T.xs_r[:, None]).T @ T.F
+    err2 = np.maximum(T.c0_est - 2.0 * cross + Y2r_t @ (T.F * T.F), 0.0)
+    K = len(cfg.grid)
+    for rule, mat in (("psure", psure), ("sure", gsure), ("oracle", err2)):
+        idx = K - 1 - np.argmin(mat[:, ::-1], axis=1)
+        assert [r.outcomes[rule].alpha_hat for r in records] == list(
+            cfg.grid.values[idx])
+        assert [r.outcomes[rule].error_l2 for r in records] == list(
+            np.sqrt(err2[np.arange(cfg.n_draws), idx]))
+    assert [r.sup_dev_psure for r in records] == list(
+        np.max(np.abs(res - T.e2w1), axis=1))
+    assert [r.sup_dev_gsure for r in records] == list(
+        np.max(np.abs(gfit - T.e2w2), axis=1))
+
+
+def _dp_root_reference(dec, coords, grid, sigma, rel_tol=1e-6):
+    # one draw at a time: bracket from the count of negative grid values,
+    # then bisection with the per-draw stopping rule
+    vals = grid.values
+    nf = grid.n_finite
+    k = int(np.sum(dp_curve(dec, coords, grid, sigma)[:nf] < 0.0))
+    if k == 0:
+        return vals[0]
+    if k == nf:
+        return vals[-1]
+    r = dec.r
+    g2 = dec.gammas[:r] ** 2
+    y2 = coords.y_coords**2
+    tail = float(np.sum(y2[r:]))
+    msig2 = dec.m * sigma * sigma
+    lo, hi = float(vals[k - 1]), float(vals[k])
+    while hi - lo > rel_tol * lo:
+        mid = 0.5 * (lo + hi)
+        if float(((mid / (g2 + mid)) ** 2) @ y2[:r]) + tail - msig2 >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_batched_dp_roots_equal_one_draw_bisection(problem16, dec16):
+    cfg = small_config(grid=SEAM_GRID, n_draws=SEAM_DRAWS, rules=("dp",))
+    records = run_study(cfg, problem=problem16, dec=dec16)
+    inside = 0
+    for j in range(0, cfg.n_draws, 7):
+        coords = to_spectral(dec16, _draw(problem16, cfg, j), problem16.x_star)
+        want = _dp_root_reference(dec16, coords, cfg.grid, cfg.sigma)
+        assert records[j].outcomes["dp"].alpha_hat == want
+        inside += not records[j].outcomes["dp"].at_boundary
+    assert inside > 30
+
+
+def test_constant_rows_pick_the_largest_alpha(problem16, dec16):
+    # with x* = 0 and no noise every risk curve is identically zero, so
+    # each row is constant across every block seam
+    problem = dataclasses.replace(problem16, x_star=np.zeros(16))
+    cfg = small_config(grid=SEAM_GRID, n_draws=SEAM_DRAWS, sigma=0.0)
+    for rec in run_study(cfg, problem=problem, dec=dec16)[::50]:
+        for rule in ("oracle", "psure", "sure"):
+            assert rec.outcomes[rule].alpha_hat == np.inf
+            assert rec.outcomes[rule].at_boundary
+
+
+def test_running_argmin_matches_whole_rows():
+    c, K = 9, 2402
+    rng = np.random.default_rng(3)
+    mat = rng.integers(5, 50, size=(c, K)).astype(float)
+    mat[0] = 1.0  # constant row
+    mat[1, 500:530] = 0.0  # minimum plateau across the first seam
+    mat[2, [7, 1100, 1500]] = 0.0  # equal minima in three blocks
+    mat[3, 2401] = 0.0  # minimum at the +inf slot
+    mat[4, [10, 2000]] = np.nan  # NaN wins, the last one
+    mat[5, :] = np.inf
+    mat[6, 512] = -np.inf  # first column of the second block
+    spans = study._column_spans(K, 300)
+    assert len(spans) > 3
+    pick = study._RunningArgmin(c)
+    for a, b in spans:
+        blk = mat[:, a:b]
+        local, value = study._block_argmin(blk, np.empty_like(blk))
+        pick.update(local, value, a, blk)
+    want = [K - 1 - int(np.argmin(row[::-1])) for row in mat]
+    np.testing.assert_array_equal(pick.index, want)
+    np.testing.assert_array_equal(pick.err2, mat[np.arange(c), want])
+    assert list(pick.index[:7]) == [K - 1, 529, 1500, K - 1, 2000, K - 1, 512]
+
+
+def test_first_non_finite_named_after_the_sweep(problem16, dec16):
+    # scaling x* and sigma together scales y^2: draws whose sum of y^2
+    # exceeds the largest double overflow the residual sums at large
+    # alpha only, which lie past the first column block
+    grid = SEAM_GRID
+    n = SEAM_DRAWS
+    children = np.random.SeedSequence(11).spawn(n)
+    z2 = []
+    for child in children:
+        eps = 0.1 * np.random.default_rng(child).standard_normal(16)
+        z = problem16.A @ problem16.x_star + eps
+        z2.append(float(z @ z))
+    scale = float(np.sqrt(np.finfo(float).max / np.quantile(z2, 0.97)))
+    problem = dataclasses.replace(
+        problem16, x_star=scale * problem16.x_star, sigma=0.1 * scale)
+    cfg = small_config(grid=grid, n_draws=n, sigma=0.1 * scale, master_seed=11)
+
+    # the first draw, then the first alpha, with a non-finite psure value
+    # of the single-draw curve
+    want = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            y = problem.A @ problem.x_star + cfg.sigma * np.random.default_rng(
+                children[j]).standard_normal(16)
+            curve = psure_curve(dec16, to_spectral(dec16, y, problem.x_star),
+                                grid, cfg.sigma)
+            bad = np.flatnonzero(~np.isfinite(curve))
+            if bad.size:
+                want = (j, int(bad[0]))
+                break
+        assert want is not None
+        assert want[0] > 0
+        assert want[1] >= study._column_spans(len(grid), n)[1][0]
+        with pytest.raises(NumericError) as info:
+            run_study(cfg, problem=problem, dec=dec16)
+    j, k = want
+    assert str(info.value) == (
+        f"prediction-risk estimate is not finite at draw {j}, "
+        f"alpha={grid.values[k]!r}")
+
+
+def test_study_memory_stays_below_one_chunk_matrix():
+    # A whole-grid evaluator holds about ten (512 x 8002) float64 matrices
+    # per chunk, 33 MB each (a peak of 267 MiB at this size). The blocked
+    # pass holds the three 4 MB weight tables and a few (512 x 834)
+    # blocks, so all of run_study stays below one such matrix (24.5 MiB).
+    problem = build_problem(64, 64, 0.06, 0.1)
+    dec = decompose(problem.A)
+    cfg = StudyConfig(m=64, n=64, l=0.06, sigma=0.1,
+                      grid=default_quadratic_grid(), n_draws=512,
+                      master_seed=7)
+    tracemalloc.start()
+    try:
+        run_study(cfg, problem=problem, dec=dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < study.CHUNK * len(cfg.grid) * 8
 
 
 def test_oracle_metric_changes_selection(problem16, dec16):
