@@ -4,114 +4,17 @@ penalty, an l1-penalized variant solved by an operator-splitting method,
 selection rules built on unbiased risk estimates and the measurement
 discrepancy, and a simulation harness for their error distributions and
 convergence behaviour.
+
+The package exports the __all__ list of each of its modules.
 """
 
 from ._version import __version__
-from .accum import NeumaierAccumulator, neumaier_sum
-from .errors import NumericError
-from .lasso import (
-    AdmmParams,
-    GsureAux,
-    LassoPath,
-    admm_all_at_once,
-    admm_per_alpha,
-    gsure_aux,
-    lasso_df,
-    lasso_gdf,
-    lasso_gsure_value,
-    lasso_psure_value,
-    row_space_projector,
-    soft_threshold,
-)
-from .problem import (
-    KernelSpec,
-    NoiseDraw,
-    ProblemInstance,
-    build_forward_matrix,
-    build_problem,
-    build_true_solution,
-    kernel_eval,
-    kernel_norm,
-    load_problem,
-    make_kernel,
-    problem_hash,
-    sample_noise,
-    save_problem,
-)
-from .rules import (
-    AlphaGrid,
-    ORACLE_METRICS,
-    RuleSelection,
-    c_constant,
-    d_constant,
-    default_lasso_grid,
-    default_quadratic_grid,
-    dp_curve,
-    dp_select,
-    dp_value,
-    edp_curve,
-    edp_true,
-    effective_gammas,
-    expected_data_power,
-    gsure_curve,
-    gsure_select,
-    gsure_value,
-    loss_l,
-    loss_l_curve,
-    loss_tilde,
-    loss_tilde_curve,
-    msee_curve,
-    msee_oracle_select,
-    msee_true,
-    mspe_curve,
-    mspe_oracle_select,
-    mspe_true,
-    oracle_error_curve,
-    oracle_select,
-    psure_alpha_bounds,
-    psure_curve,
-    psure_select,
-    psure_value,
-    select_by_minimization,
-)
-from .spectral import (
-    SpectralCoords,
-    SpectralDecomposition,
-    check_alpha,
-    decompose,
-    df,
-    filter_factors,
-    gdf,
-    pinv_apply,
-    residual_norm_sq,
-    tikhonov_solve,
-    to_spectral,
-    trace_pinv_gram,
-)
-from .study import (
-    KNOWN_RULES,
-    HistogramResult,
-    HistogramSpec,
-    JointHistogram,
-    RateFit,
-    RuleOutcome,
-    StudyConfig,
-    StudyRecord,
-    alpha_histogram_spec,
-    error_stats,
-    histogram,
-    joint_histogram,
-    log_error_histogram_spec,
-    loss_closeness_stats,
-    mean_sup_deviation,
-    rate_check,
-    read_records_csv,
-    run_study,
-    summary_json,
-    sup_deviation,
-    win_fraction,
-    write_records_csv,
-    write_summary_json,
-)
+from .accum import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .lasso import *  # noqa: F401,F403
+from .problem import *  # noqa: F401,F403
+from .rules import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .study import *  # noqa: F401,F403
 
 __all__ = [name for name in dir() if not name.startswith("_")]

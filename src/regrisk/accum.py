@@ -1,17 +1,18 @@
-"""Compensated floating-point accumulation.
+"""Exactly rounded floating-point sums.
 
 Plain left-to-right summation loses digits when terms span many orders of
 magnitude, which happens here once 1/gamma_i^2 enters an objective (the
-spread reaches 1e14 on the harder deconvolution instances). The Neumaier
-variant of Kahan's algorithm carries a running correction term and
-recovers those digits at O(n) cost.
+spread reaches 1e14 on the harder deconvolution instances). math.fsum
+returns the correctly rounded sum of its terms instead.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["NeumaierAccumulator", "neumaier_sum", "square"]
+__all__ = ["neumaier_sum"]
 
 
 def square(x) -> float:
@@ -21,31 +22,17 @@ def square(x) -> float:
     return v * v
 
 
-class NeumaierAccumulator:
-    """Running compensated sum. Feed terms through add(), read value."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
-
-
 def neumaier_sum(values) -> float:
-    """Compensated sum of an array of floats (any shape, summed flat)."""
-    acc = NeumaierAccumulator()
-    for x in np.asarray(values, dtype=float).ravel():
-        acc.add(float(x))
-    return acc.value
+    """Exactly rounded sum of an array of floats (any shape, summed flat).
+
+    The name is kept from the compensated (Neumaier) loop this replaced.
+    Where fsum raises (terms holding both +inf and -inf, or partial sums
+    that overflow) the plain sum is returned, which is then not finite
+    either, so the callers' non-finite checks still see it.
+    """
+    terms = np.asarray(values, dtype=float).ravel().tolist()
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(terms))

@@ -23,9 +23,15 @@ import time
 import numpy as np
 
 from ._version import __version__
-from .accum import square
 from .errors import NumericError
-from .lasso import AdmmParams, admm_all_at_once, admm_per_alpha, gsure_aux, lasso_gsure_value
+from .lasso import (
+    AdmmParams,
+    admm_all_at_once,
+    admm_per_alpha,
+    gsure_aux,
+    lasso_dp_index,
+    lasso_risk_curves,
+)
 from .problem import build_problem, load_problem, problem_hash, save_problem
 from .rules import (
     AlphaGrid,
@@ -33,13 +39,15 @@ from .rules import (
     default_lasso_grid,
     default_quadratic_grid,
     dp_select,
-    gsure_value,
+    gsure_curve,
+    oracle_error_curve,
 )
-from .spectral import decompose, to_spectral, tikhonov_solve
+from .spectral import decompose, to_spectral
 from .study import (
     KNOWN_RULES,
     SCHEMA_VERSION,
     StudyConfig,
+    _config_dict,
     error_stats,
     mean_sup_deviation,
     rate_check,
@@ -328,7 +336,7 @@ def _run_and_export(cfg, parser, regularizer, default_grid, default_metric,
                 file=sys.stderr,
             )
     manifest = _write_manifest(
-        out, command, _jsonable(config), outputs, started,
+        out, command, _config_dict(config), outputs, started,
         extras.get("problem_hash"),
     )
     for rule in config.rules:
@@ -343,14 +351,6 @@ def _run_and_export(cfg, parser, regularizer, default_grid, default_metric,
     )
     print(f"wrote {', '.join(outputs + [manifest])}")
     return 0
-
-
-def _jsonable(config) -> dict:
-    import dataclasses
-
-    d = dataclasses.asdict(config)
-    d["rules"] = list(config.rules)
-    return d
 
 
 def _cmd_run_study(parsed, parser):
@@ -461,74 +461,53 @@ _DEMO_TABLE = [
 ]
 
 
+def _demo_pick(out_rows, kind, alphas, estimates, errors):
+    # the estimate's argmin, ties to the larger alpha
+    idx = int(len(estimates) - 1 - np.argmin(estimates[::-1]))
+    for a, v, e in zip(alphas, estimates, errors):
+        out_rows.append((kind, float(a), float(v), float(e)))
+    return float(alphas[idx]), float(errors[idx]), float(estimates[idx])
+
+
 def _demo_quadratic(problem, y, out_rows):
     dec = decompose(problem.A)
     coords = to_spectral(dec, y, problem.x_star)
     grid = default_quadratic_grid()
-    sel = dp_select(dec, coords, grid, problem.sigma)
-    alpha_dp = sel.alpha_hat
+    alpha_dp = dp_select(dec, coords, grid, problem.sigma).alpha_hat
 
-    def record(kind, alphas):
-        vals = np.array(
-            [gsure_value(dec, coords, a, problem.sigma) for a in alphas]
+    def pick(kind, alphas):
+        return _demo_pick(
+            out_rows, kind, alphas,
+            gsure_curve(dec, coords, alphas, problem.sigma),
+            oracle_error_curve(dec, coords, coords.xstar_coords, alphas),
         )
-        idx = int(len(vals) - 1 - np.argmin(vals[::-1]))
-        errs = []
-        for a in alphas:
-            xhat = tikhonov_solve(dec, coords, a)[1]
-            errs.append(float(np.linalg.norm(problem.x_star - xhat)))
-        for a, v, e in zip(alphas, vals, errs):
-            out_rows.append((kind, float(a), float(v), float(e)))
-        return float(alphas[idx]), float(errs[idx]), float(vals[idx])
 
     delta = 2.0 * alpha_dp / 50.0
-    lin_alphas = delta * np.arange(1, 51)
-    log_alphas = grid.values[: grid.n_finite]
-    a_lin, e_lin, v_lin = record("linear", lin_alphas)
-    a_log, e_log, v_log = record("log", log_alphas)
-    return alpha_dp, (a_lin, e_lin, v_lin), (a_log, e_log, v_log)
+    lin = pick("linear", delta * np.arange(1, 51))
+    log = pick("log", grid.values[: grid.n_finite])
+    return alpha_dp, lin, log
 
 
 def _demo_lasso(problem, y, out_rows):
-    grid = default_lasso_grid()
-    vals = grid.values
-    path = admm_all_at_once(problem.A, y, vals)
-    aux = gsure_aux(problem.A)
-    resid = y[:, None] - problem.A @ path.Z
-    res2 = np.einsum("ij,ij->j", resid, resid)
-    msig2 = problem.m * square(problem.sigma)
-    nonneg = res2 - msig2 >= 0.0
-    if nonneg[0] or not np.any(nonneg):
-        idx_dp = 0 if nonneg[0] else len(vals) - 1
-    else:
-        idx_dp = int(np.argmax(nonneg))
-    alpha_dp = float(vals[idx_dp])
+    A, sigma = problem.A, problem.sigma
+    vals = default_lasso_grid().values
+    aux = gsure_aux(A)
+    path = admm_all_at_once(A, y, vals)
+    res2, _, _ = lasso_risk_curves(A, y, path.Z, sigma, aux)
+    alpha_dp = float(vals[lasso_dp_index(res2, problem.m, sigma)])
 
-    def record(kind, alphas, Z):
-        gs = np.array(
-            [
-                lasso_gsure_value(problem.A, y, Z[:, k], problem.sigma, aux=aux)
-                for k in range(Z.shape[1])
-            ]
+    def pick(kind, alphas, Z):
+        diff = problem.x_star[:, None] - Z
+        return _demo_pick(
+            out_rows, kind, alphas,
+            lasso_risk_curves(A, y, Z, sigma, aux)[2],
+            np.sqrt(np.einsum("ij,ij->j", diff, diff)),
         )
-        idx = int(len(gs) - 1 - np.argmin(gs[::-1]))
-        errs = np.sqrt(
-            np.einsum(
-                "ij,ij->j",
-                problem.x_star[:, None] - Z,
-                problem.x_star[:, None] - Z,
-            )
-        )
-        for a, v, e in zip(alphas, gs, errs):
-            out_rows.append((kind, float(a), float(v), float(e)))
-        return float(alphas[idx]), float(errs[idx]), float(gs[idx])
 
-    delta = alpha_dp / 10.0
-    lin_alphas = delta * np.arange(1, 21)
-    lin_path = admm_per_alpha(problem.A, y, lin_alphas, n_iter=20)
-    a_lin, e_lin, v_lin = record("linear", lin_alphas, lin_path.Z)
-    a_log, e_log, v_log = record("log", vals, path.Z)
-    return alpha_dp, (a_lin, e_lin, v_lin), (a_log, e_log, v_log)
+    lin_alphas = alpha_dp / 10.0 * np.arange(1, 21)
+    lin = pick("linear", lin_alphas, admm_per_alpha(A, y, lin_alphas, n_iter=20).Z)
+    log = pick("log", vals, path.Z)
+    return alpha_dp, lin, log
 
 
 def _cmd_grid_demo(parsed, parser):

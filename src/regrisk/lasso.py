@@ -30,6 +30,7 @@ from numpy.linalg import LinAlgError
 from .accum import square
 from .errors import NumericError
 from .rules import AlphaGrid
+from .spectral import DEFAULT_RANK_TOL, decompose, trace_pinv_gram
 
 __all__ = [
     "AdmmParams",
@@ -42,6 +43,8 @@ __all__ = [
     "lasso_gdf",
     "row_space_projector",
     "gsure_aux",
+    "lasso_risk_curves",
+    "lasso_dp_index",
     "lasso_psure_value",
     "lasso_gsure_value",
 ]
@@ -318,15 +321,52 @@ class GsureAux:
     trace_gram_pinv: float
 
 
-def gsure_aux(A, rank_tol: float = 1e-12) -> GsureAux:
+def _gsure_aux(dec) -> GsureAux:
+    r = dec.r
+    U_r, V_r = dec.U[:, :r], dec.V[:, :r]
+    return GsureAux(
+        pinv=(V_r / dec.gammas[:r][None, :]) @ U_r.T,
+        projector=V_r @ V_r.T if r < dec.n else None,
+        trace_gram_pinv=trace_pinv_gram(dec),
+    )
+
+
+def gsure_aux(A, rank_tol: float = DEFAULT_RANK_TOL) -> GsureAux:
+    """GsureAux of A, built from its singular system (see decompose)."""
+    return _gsure_aux(decompose(A, rank_tol))
+
+
+def lasso_risk_curves(A, y, Z, sigma, aux: GsureAux):
+    """Squared residuals, prediction- and estimation-risk estimates of
+    every solution column of Z, as lasso_psure_value and
+    lasso_gsure_value define them; gdf is computed once per support."""
     A = np.asarray(A, dtype=float)
-    s = np.linalg.svd(A, compute_uv=False)
-    keep = s > rank_tol * s[0]
-    trace = float(np.sum(1.0 / s[keep] ** 2))
-    pinv = np.linalg.pinv(A)
-    full_column_rank = int(np.sum(keep)) == A.shape[1]
-    projector = None if full_column_rank else pinv @ A
-    return GsureAux(pinv=pinv, projector=projector, trace_gram_pinv=trace)
+    y = np.asarray(y, dtype=float)
+    s2 = square(sigma)
+    resid = y[:, None] - A @ Z
+    res2 = np.einsum("ij,ij->j", resid, resid)
+    dfv = np.count_nonzero(Z, axis=0).astype(float)
+    psure = res2 - y.size * s2 + 2.0 * s2 * dfv
+    diff = (aux.pinv @ y)[:, None] - Z
+    est2 = np.einsum("ij,ij->j", diff, diff)
+    gdf_by_support = {}
+    gdfv = np.empty(Z.shape[1])
+    for k in range(Z.shape[1]):
+        support = np.flatnonzero(Z[:, k])
+        key = support.tobytes()
+        if key not in gdf_by_support:
+            gdf_by_support[key] = lasso_gdf(A, support, projector=aux.projector)
+        gdfv[k] = gdf_by_support[key]
+    gsure = est2 - s2 * aux.trace_gram_pinv + 2.0 * s2 * gdfv
+    return res2, psure, gsure
+
+
+def lasso_dp_index(res2, m, sigma) -> int:
+    """Grid index the discrepancy rule picks from the squared residuals:
+    the first whose discrepancy res2 - m sigma^2 is nonnegative, or the
+    last when there is none."""
+    nonneg = np.asarray(res2) - m * square(sigma) >= 0.0
+    return int(np.argmax(nonneg)) if nonneg.any() else nonneg.size - 1
 
 
 def lasso_psure_value(A, y, z, sigma) -> float:

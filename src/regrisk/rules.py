@@ -1,13 +1,15 @@
 """Parameter-choice rules and risks for the quadratic regularizer.
 
-Each rule is a weighted sum over spectral coordinates, so a scalar
-evaluation and a whole-grid evaluation share the same weight algebra.
-Scalar entry points (the *_value and *_true functions) accumulate with
-compensated summation; the *_table and *_curve helpers evaluate an
-entire grid at once with matrix products and are what the simulation
-layer builds on. Grids may carry a distinguished +inf point, which every
-table fills with the analytic limit, so downstream code never branches
-on it.
+Each rule is a weighted sum over spectral coordinates, v . W plus affine
+terms, with v = y^2 for the risk estimates and v = E y^2 for the exact
+risks. One prediction-side and one estimation-side helper hold these
+formulas, and the weights come from the elementwise kernels of spectral,
+so a scalar evaluation and a whole-grid evaluation share the same weight
+algebra. Scalar entry points (the *_value and *_true functions) sum with
+math.fsum, exactly rounded; the *_table and *_curve helpers evaluate a
+whole grid (an AlphaGrid or a 1-D alpha array) at once with matrix
+products. Grids may carry a distinguished +inf point, which the kernels
+fill with the analytic limit, so downstream code never branches on it.
 
 Selection is argmin over the grid with ties resolved toward the larger
 (more stabilized) alpha. The residual-discrepancy rule is the exception:
@@ -26,6 +28,11 @@ from .errors import NumericError
 from .spectral import (
     SpectralCoords,
     SpectralDecomposition,
+    _df_term,
+    _estimation_weight,
+    _filter,
+    _gdf_term,
+    _prediction_weights,
     check_alpha,
     df,
     filter_factors,
@@ -35,6 +42,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "ORACLE_METRICS",
     "AlphaGrid",
     "RuleSelection",
     "default_quadratic_grid",
@@ -161,18 +169,67 @@ def expected_data_power(dec, xstar_coords, sigma) -> np.ndarray:
     return (geff * xs) ** 2 + square(sigma)
 
 
-# scalar rule values
+# risks: a weighted sum v . W of v = y^2 (the estimates) or v = E y^2
+# (their expectations) plus affine terms, at one alpha with an exactly
+# rounded sum or along a grid with a matrix product
+
+
+def _on_grid(at) -> bool:
+    return isinstance(at, AlphaGrid) or np.ndim(at) > 0
+
+
+def _alpha_values(grid) -> np.ndarray:
+    alphas = grid.values if isinstance(grid, AlphaGrid) else np.asarray(grid, dtype=float)
+    if alphas.ndim != 1 or alphas.size == 0:
+        raise ValueError("need a nonempty 1-D alpha grid")
+    if np.any(np.isnan(alphas)) or np.any(alphas < 0):
+        raise ValueError("regularization strengths must be >= 0 or +inf")
+    return alphas
+
+
+def _prediction_fit(dec, v, at):
+    if _on_grid(at):
+        return v @ prediction_weight_table(dec, at)
+    return neumaier_sum(_prediction_weights(dec, check_alpha(at)) * v)
+
+
+def _prediction_side(dec, fit, at, sigma, with_df: bool):
+    """fit - m sigma^2, plus 2 sigma^2 df when with_df; fit = v . W1.
+
+    The fit comes in ready-made because at one alpha the estimates take
+    residual_norm_sq, whose terms W1 * y * y round differently from
+    W1 * y^2, and the discrepancy root is bisected on those bits.
+    """
+    s2 = square(sigma)
+    out = fit - dec.m * s2
+    if with_df:
+        out = out + 2.0 * s2 * (df_table(dec, at) if _on_grid(at) else df(dec, at))
+    return out
+
+
+def _estimation_side(dec, v, at, sigma):
+    """v[:r] . W2 - sigma^2 tr((A A^T)^+) + 2 sigma^2 gdf."""
+    s2 = square(sigma)
+    trace = trace_pinv_gram(dec)  # rejects gammas too small to square
+    v = v[: dec.r]
+    if _on_grid(at):
+        fit = v @ estimation_weight_table(dec, at)
+        gdfv = gdf_table(dec, at)
+    else:
+        a = check_alpha(at)
+        fit = neumaier_sum(_estimation_weight(dec.gammas[: dec.r], a) * v)
+        gdfv = gdf(dec, a)
+    return fit - s2 * trace + 2.0 * s2 * gdfv
 
 
 def dp_value(dec, coords, alpha, sigma) -> float:
     """Residual discrepancy: squared misfit minus the noise energy m*sigma^2."""
-    return residual_norm_sq(dec, coords, alpha) - dec.m * square(sigma)
+    return _prediction_side(dec, residual_norm_sq(dec, coords, alpha), alpha, sigma, False)
 
 
 def psure_value(dec, coords, alpha, sigma) -> float:
     """Unbiased prediction-risk estimate: discrepancy plus 2 sigma^2 df."""
-    s2 = square(sigma)
-    return dp_value(dec, coords, alpha, sigma) + 2.0 * s2 * df(dec, alpha)
+    return _prediction_side(dec, residual_norm_sq(dec, coords, alpha), alpha, sigma, True)
 
 
 def gsure_value(dec, coords, alpha, sigma) -> float:
@@ -181,79 +238,28 @@ def gsure_value(dec, coords, alpha, sigma) -> float:
     Sum of (1/gamma - gamma/(gamma^2+alpha))^2 y^2 over the effective
     rank, minus sigma^2 tr((A A^T)^+), plus 2 sigma^2 gdf.
     """
-    a = check_alpha(alpha)
-    s2 = square(sigma)
-    g = dec.gammas[: dec.r]
-    if dec.r > 0 and g[-1] < 1e-150:
-        raise NumericError(
-            f"singular values too small to square; cond(A)={dec.cond:.3e}"
-        )
-    y = coords.y_coords[: dec.r]
-    if math.isinf(a):
-        w = 1.0 / g
-    elif a == 0.0:
-        w = np.zeros(dec.r)
-    else:
-        w = a / (g * (g * g + a))
-    fit = neumaier_sum((w * y) ** 2)
-    return fit - s2 * trace_pinv_gram(dec) + 2.0 * s2 * gdf(dec, alpha)
-
-
-# closed-form expectations
-
-
-def _w1_vector(dec, alpha) -> np.ndarray:
-    # squared residual weights per data coordinate; 1 beyond the rank
-    a = check_alpha(alpha)
-    w = np.ones(dec.m)
-    if math.isinf(a):
-        return w
-    if a == 0.0:
-        w[: dec.r] = 0.0
-        return w
-    g = dec.gammas[: dec.r]
-    w[: dec.r] = (a / (g * g + a)) ** 2
-    return w
-
-
-def _w2_vector(dec, alpha) -> np.ndarray:
-    # squared estimation-side weights over the effective rank
-    a = check_alpha(alpha)
-    g = dec.gammas[: dec.r]
-    if math.isinf(a):
-        return 1.0 / (g * g)
-    if a == 0.0:
-        return np.zeros(dec.r)
-    return (a / (g * (g * g + a))) ** 2
+    return _estimation_side(dec, coords.y_coords**2, alpha, sigma)
 
 
 def mspe_true(dec, xstar_coords, alpha, sigma) -> float:
-    """Exact mean squared prediction error of the ridge estimate."""
-    s2 = square(sigma)
+    """Exact mean squared prediction error of the ridge estimate (along
+    a grid when alpha is one, as mspe_curve)."""
     e2 = expected_data_power(dec, xstar_coords, sigma)
-    return (
-        neumaier_sum(_w1_vector(dec, alpha) * e2)
-        - dec.m * s2
-        + 2.0 * s2 * df(dec, alpha)
-    )
+    return _prediction_side(dec, _prediction_fit(dec, e2, alpha), alpha, sigma, True)
 
 
 def msee_true(dec, xstar_coords, alpha, sigma) -> float:
-    """Exact mean squared estimation error on the row space."""
-    s2 = square(sigma)
-    e2 = expected_data_power(dec, xstar_coords, sigma)[: dec.r]
-    return (
-        neumaier_sum(_w2_vector(dec, alpha) * e2)
-        - s2 * trace_pinv_gram(dec)
-        + 2.0 * s2 * gdf(dec, alpha)
-    )
+    """Exact mean squared estimation error on the row space (along a
+    grid when alpha is one, as msee_curve)."""
+    return _estimation_side(
+        dec, expected_data_power(dec, xstar_coords, sigma), alpha, sigma)
 
 
 def edp_true(dec, xstar_coords, alpha, sigma) -> float:
-    """Expectation of the residual discrepancy."""
-    s2 = square(sigma)
+    """Expectation of the residual discrepancy (along a grid when alpha
+    is one, as edp_curve)."""
     e2 = expected_data_power(dec, xstar_coords, sigma)
-    return neumaier_sum(_w1_vector(dec, alpha) * e2) - dec.m * s2
+    return _prediction_side(dec, _prediction_fit(dec, e2, alpha), alpha, sigma, False)
 
 
 # per-realization losses
@@ -294,129 +300,105 @@ def d_constant(dec) -> float:
     return c_constant(dec) * math.sqrt(neumaier_sum(1.0 / g**4))
 
 
-# grid tables (columns follow grid.values, +inf slot filled analytically)
+# grid tables: columns follow the alpha values (an AlphaGrid or a 1-D
+# array; +inf slots take the analytic limit), each built in place in its
+# output array
 
 
-def filter_table(dec, grid: AlphaGrid) -> np.ndarray:
+def filter_table(dec, grid) -> np.ndarray:
     """(r, K) ridge filter factors; the +inf column is zero."""
-    vals = grid.values
-    g = dec.gammas[: dec.r]
-    F = np.zeros((dec.r, len(grid)))
-    nf = grid.n_finite
-    F[:, :nf] = g[:, None] / (g[:, None] ** 2 + vals[None, :nf])
-    return F
+    a = _alpha_values(grid)
+    return _filter(dec.gammas[: dec.r, None], a, out=np.empty((dec.r, a.size)))
 
 
-def prediction_weight_table(dec, grid: AlphaGrid) -> np.ndarray:
+def prediction_weight_table(dec, grid) -> np.ndarray:
     """(m, K) squared residual weights; rows beyond the rank are 1."""
-    vals = grid.values
-    W = np.ones((dec.m, len(grid)))
-    nf = grid.n_finite
-    g = dec.gammas[: dec.r]
-    W[: dec.r, :nf] = (vals[None, :nf] / (g[:, None] ** 2 + vals[None, :nf])) ** 2
-    return W
+    return _prediction_weights(dec, _alpha_values(grid))
 
 
-def estimation_weight_table(dec, grid: AlphaGrid) -> np.ndarray:
+def estimation_weight_table(dec, grid) -> np.ndarray:
     """(r, K) squared estimation-side weights; the +inf column is 1/gamma^2."""
-    vals = grid.values
-    g = dec.gammas[: dec.r]
-    W = np.empty((dec.r, len(grid)))
-    nf = grid.n_finite
-    W[:, :nf] = (
-        vals[None, :nf] / (g[:, None] * (g[:, None] ** 2 + vals[None, :nf]))
-    ) ** 2
-    if grid.includes_infinity:
-        W[:, nf:] = (1.0 / (g * g))[:, None]
-    return W
+    a = _alpha_values(grid)
+    return _estimation_weight(
+        dec.gammas[: dec.r, None], a, out=np.empty((dec.r, a.size)))
 
 
-def df_table(dec, grid: AlphaGrid) -> np.ndarray:
-    vals = grid.values
-    g = dec.gammas[: dec.r]
-    out = np.zeros(len(grid))
-    nf = grid.n_finite
-    out[:nf] = np.sum(g[:, None] ** 2 / (g[:, None] ** 2 + vals[None, :nf]), axis=0)
+SUM_BLOCK = 512  # grid columns per pass of the df and gdf sums
+
+
+def _rank_sums(term, dec, grid) -> np.ndarray:
+    # Row i's terms are added to the sums in order i = 0, 1, ..., as
+    # np.sum(axis=0) of the (r, K) term table adds them, but through one
+    # SUM_BLOCK work row, so that table is never built.
+    a = _alpha_values(grid)
+    out = np.zeros(a.size)
+    work = np.empty(min(a.size, SUM_BLOCK))
+    for s in range(0, a.size, SUM_BLOCK):
+        blk = out[s : s + SUM_BLOCK]
+        w = work[: blk.size]
+        for gi in dec.gammas[: dec.r]:
+            blk += term(gi, a[s : s + SUM_BLOCK], out=w)
     return out
 
 
-def gdf_table(dec, grid: AlphaGrid) -> np.ndarray:
-    vals = grid.values
-    g = dec.gammas[: dec.r]
-    out = np.zeros(len(grid))
-    nf = grid.n_finite
-    out[:nf] = np.sum(1.0 / (g[:, None] ** 2 + vals[None, :nf]), axis=0)
-    return out
+def df_table(dec, grid) -> np.ndarray:
+    """(K,) degrees of freedom; 0 at +inf."""
+    return _rank_sums(_df_term, dec, grid)
 
 
-# whole-grid curves for a single realization
+def gdf_table(dec, grid) -> np.ndarray:
+    """(K,) generalized degrees of freedom; 0 at +inf."""
+    return _rank_sums(_gdf_term, dec, grid)
+
+
+# whole-grid curves for a single realization (grid: AlphaGrid or 1-D array)
 
 
 def dp_curve(dec, coords, grid, sigma) -> np.ndarray:
     y2 = coords.y_coords**2
-    return y2 @ prediction_weight_table(dec, grid) - dec.m * square(sigma)
+    return _prediction_side(dec, _prediction_fit(dec, y2, grid), grid, sigma, False)
 
 
 def psure_curve(dec, coords, grid, sigma) -> np.ndarray:
-    s2 = square(sigma)
-    return dp_curve(dec, coords, grid, sigma) + 2.0 * s2 * df_table(dec, grid)
+    y2 = coords.y_coords**2
+    return _prediction_side(dec, _prediction_fit(dec, y2, grid), grid, sigma, True)
 
 
 def gsure_curve(dec, coords, grid, sigma) -> np.ndarray:
-    s2 = square(sigma)
-    y2 = coords.y_coords[: dec.r] ** 2
-    return (
-        y2 @ estimation_weight_table(dec, grid)
-        - s2 * trace_pinv_gram(dec)
-        + 2.0 * s2 * gdf_table(dec, grid)
-    )
+    return _estimation_side(dec, coords.y_coords**2, grid, sigma)
 
 
 def mspe_curve(dec, xstar_coords, grid, sigma) -> np.ndarray:
-    s2 = square(sigma)
-    e2 = expected_data_power(dec, xstar_coords, sigma)
-    return (
-        e2 @ prediction_weight_table(dec, grid)
-        - dec.m * s2
-        + 2.0 * s2 * df_table(dec, grid)
-    )
+    return mspe_true(dec, xstar_coords, grid, sigma)
 
 
 def msee_curve(dec, xstar_coords, grid, sigma) -> np.ndarray:
-    s2 = square(sigma)
-    e2 = expected_data_power(dec, xstar_coords, sigma)[: dec.r]
-    return (
-        e2 @ estimation_weight_table(dec, grid)
-        - s2 * trace_pinv_gram(dec)
-        + 2.0 * s2 * gdf_table(dec, grid)
-    )
+    return msee_true(dec, xstar_coords, grid, sigma)
 
 
 def edp_curve(dec, xstar_coords, grid, sigma) -> np.ndarray:
-    e2 = expected_data_power(dec, xstar_coords, sigma)
-    return e2 @ prediction_weight_table(dec, grid) - dec.m * square(sigma)
+    return edp_true(dec, xstar_coords, grid, sigma)
+
+
+def _expanded_sq_error(F, const, cross, quad):
+    """sum_i w_i (x_i - F_i y_i)^2 along the grid, expanded: const = sum
+    w x^2, cross = w x y, quad = w y^2."""
+    return const - 2.0 * (cross @ F) + quad @ (F * F)
 
 
 def loss_l_curve(dec, coords, xstar_coords, grid) -> np.ndarray:
-    F = filter_table(dec, grid)
     g = dec.gammas[: dec.r]
-    xs = np.asarray(xstar_coords, dtype=float)[: dec.r]
+    gx = g * np.asarray(xstar_coords, dtype=float)[: dec.r]
     y = coords.y_coords[: dec.r]
-    gx = g * xs
-    const = neumaier_sum(gx * gx)
-    cross = (y * gx * g) @ F
-    quad = (y * y * g * g) @ (F * F)
-    return (const - 2.0 * cross + quad) / dec.m
+    return _expanded_sq_error(filter_table(dec, grid), neumaier_sum(gx * gx),
+                              y * gx * g, y * y * g * g) / dec.m
 
 
 def loss_tilde_curve(dec, coords, xstar_coords, grid) -> np.ndarray:
-    F = filter_table(dec, grid)
     xs = np.asarray(xstar_coords, dtype=float)[: dec.r]
     y = coords.y_coords[: dec.r]
-    const = neumaier_sum(xs * xs)
-    cross = (y * xs) @ F
-    quad = (y * y) @ (F * F)
-    return c_constant(dec) * (const - 2.0 * cross + quad)
+    return c_constant(dec) * _expanded_sq_error(
+        filter_table(dec, grid), neumaier_sum(xs * xs), y * xs, y * y)
 
 
 def oracle_error_curve(dec, coords, xstar_coords, grid, metric="l2_estimation"):
@@ -431,16 +413,14 @@ def oracle_error_curve(dec, coords, xstar_coords, grid, metric="l2_estimation"):
     y = coords.y_coords[: dec.r]
     F = filter_table(dec, grid)
     if metric == "l2_estimation":
-        xs_r = xs_full[: dec.r]
-        const = neumaier_sum(xs_full * xs_full)
-        cross = (y * xs_r) @ F
-        quad = (y * y) @ (F * F)
-        return np.sqrt(np.maximum(const - 2.0 * cross + quad, 0.0))
+        e2 = _expanded_sq_error(F, neumaier_sum(xs_full * xs_full),
+                                y * xs_full[: dec.r], y * y)
+        return np.sqrt(np.maximum(e2, 0.0))
     if metric == "l2_prediction":
         return np.sqrt(
             np.maximum(dec.m * loss_l_curve(dec, coords, xstar_coords, grid), 0.0)
         )
-    coeffs = np.zeros((dec.n, len(grid)))
+    coeffs = np.zeros((dec.n, F.shape[1]))
     coeffs[: dec.r] = F * y[:, None]
     diff = dec.V @ (xs_full[:, None] - coeffs)
     return np.sum(np.abs(diff), axis=0)

@@ -5,6 +5,12 @@ where the ridge estimator acts diagonally with filter factors
 gamma_i / (gamma_i^2 + alpha). alpha = +inf is a legal distinguished
 input throughout and is evaluated by its analytic limit (zero estimate,
 full residual, zero degrees of freedom).
+
+The five ridge quantities (the filter, the residual and estimation
+weights, the df and gdf terms) are written once each, as the private
+elementwise kernels below; the scalar functions here, the grid tables
+and curves of rules and the study's chunk evaluator all take them from
+there.
 """
 
 from __future__ import annotations
@@ -144,20 +150,64 @@ def to_spectral(dec: SpectralDecomposition, y, x_star, eps=None) -> SpectralCoor
     )
 
 
+# Elementwise ridge kernels on broadcastable (gamma, alpha) arrays. Each
+# writes into `out` when given, so a grid table is built in place, and
+# fills in its alpha = +inf limit itself.
+
+
+def _at_infinity(out, a, limit):
+    inf = np.isinf(a)
+    if np.any(inf):
+        np.copyto(out, limit, where=inf)
+    return out
+
+
+def _filter(g, a, out=None):
+    """gamma/(gamma^2 + alpha); 0 at alpha = +inf."""
+    out = np.add(g * g, a, out=out)
+    return np.divide(g, out, out=out)
+
+
+def _residual_weight(g, a, out=None):
+    """(alpha/(gamma^2 + alpha))^2; 1 at alpha = +inf."""
+    out = np.add(g * g, a, out=out)
+    with np.errstate(invalid="ignore"):  # inf/inf at alpha = +inf
+        np.divide(a, out, out=out)
+    np.multiply(out, out, out=out)
+    return _at_infinity(out, a, 1.0)
+
+
+def _estimation_weight(g, a, out=None):
+    """(alpha/(gamma (gamma^2 + alpha)))^2; 1/gamma^2 at alpha = +inf."""
+    out = np.add(g * g, a, out=out)
+    np.multiply(g, out, out=out)
+    with np.errstate(invalid="ignore"):
+        np.divide(a, out, out=out)
+    np.multiply(out, out, out=out)
+    return _at_infinity(out, a, _gdf_term(g, 0.0))
+
+
+def _df_term(g, a, out=None):
+    """gamma^2/(gamma^2 + alpha); 0 at alpha = +inf."""
+    g2 = g * g
+    out = np.add(g2, a, out=out)
+    return np.divide(g2, out, out=out)
+
+
+def _gdf_term(g, a, out=None):
+    """1/(gamma^2 + alpha); 0 at alpha = +inf."""
+    out = np.add(g * g, a, out=out)
+    return np.divide(1.0, out, out=out)
+
+
 def filter_factors(dec: SpectralDecomposition, alpha) -> np.ndarray:
     """Ridge filter gamma/(gamma^2 + alpha) on the effective-rank block.
 
-    Directions beyond the effective rank are never fitted; their factor
-    is 0 by convention (the alpha = 0 case then applies the
-    pseudo-inverse rather than dividing by a numerically-zero gamma).
+    Directions beyond the effective rank are never fitted, so the factors
+    cover the first r of them only; alpha = 0 gives the pseudo-inverse
+    and alpha = +inf zero.
     """
-    a = check_alpha(alpha)
-    g = dec.gammas[: dec.r]
-    if math.isinf(a):
-        return np.zeros(dec.r)
-    if a == 0.0:
-        return 1.0 / g
-    return g / (g * g + a)
+    return _filter(dec.gammas[: dec.r], check_alpha(alpha))
 
 
 def tikhonov_solve(dec: SpectralDecomposition, coords: SpectralCoords, alpha):
@@ -174,6 +224,17 @@ def tikhonov_solve(dec: SpectralDecomposition, coords: SpectralCoords, alpha):
     return coeffs, dec.V @ coeffs
 
 
+def _prediction_weights(dec: SpectralDecomposition, a) -> np.ndarray:
+    """Residual weights of all m data coordinates at a scalar alpha (shape
+    (m,)) or a 1-D alpha array (shape (m, K)); coordinates beyond the
+    effective rank are never fitted and weigh 1."""
+    W = np.empty((dec.m,) + np.shape(a))
+    W[dec.r :] = 1.0
+    g = dec.gammas[: dec.r].reshape((-1,) + (1,) * np.ndim(a))
+    _residual_weight(g, a, out=W[: dec.r])
+    return W
+
+
 def residual_norm_sq(dec: SpectralDecomposition, coords: SpectralCoords, alpha) -> float:
     """Squared data misfit of the ridge estimate, computed spectrally.
 
@@ -181,36 +242,20 @@ def residual_norm_sq(dec: SpectralDecomposition, coords: SpectralCoords, alpha) 
     alpha since no estimate reaches them. Nondecreasing in alpha; equals
     ||y||^2 at alpha = +inf.
     """
-    a = check_alpha(alpha)
     y = coords.y_coords
-    if math.isinf(a):
-        return neumaier_sum(y * y)
-    w = np.ones(dec.m)
-    if a == 0.0:
-        w[: dec.r] = 0.0
-    else:
-        g = dec.gammas[: dec.r]
-        w[: dec.r] = (a / (g * g + a)) ** 2
-    return neumaier_sum(w * y * y)
+    return neumaier_sum(_prediction_weights(dec, check_alpha(alpha)) * y * y)
 
 
 def df(dec: SpectralDecomposition, alpha) -> float:
     """Degrees of freedom: sum of gamma^2/(gamma^2 + alpha) over the rank."""
-    a = check_alpha(alpha)
-    if math.isinf(a):
-        return 0.0
-    g = dec.gammas[: dec.r]
-    return neumaier_sum(g * g / (g * g + a))
+    return neumaier_sum(_df_term(dec.gammas[: dec.r], check_alpha(alpha)))
 
 
 def gdf(dec: SpectralDecomposition, alpha) -> float:
     """Generalized degrees of freedom: sum of 1/(gamma^2 + alpha)."""
     a = check_alpha(alpha)
-    if math.isinf(a):
-        return 0.0
-    g = dec.gammas[: dec.r]
     with np.errstate(divide="ignore", over="ignore"):
-        val = neumaier_sum(1.0 / (g * g + a))
+        val = neumaier_sum(_gdf_term(dec.gammas[: dec.r], a))
     if not math.isfinite(val):
         raise NumericError(
             f"generalized degrees of freedom overflowed at alpha={a}; "
@@ -227,7 +272,7 @@ def trace_pinv_gram(dec: SpectralDecomposition) -> float:
             f"smallest effective singular value too small to square; "
             f"cond(A)={dec.cond:.3e}"
         )
-    return neumaier_sum(1.0 / (g * g))
+    return neumaier_sum(_gdf_term(g, 0.0))
 
 
 def pinv_apply(dec: SpectralDecomposition, y) -> np.ndarray:

@@ -36,7 +36,13 @@ import numpy as np
 
 from .accum import neumaier_sum
 from .errors import NumericError
-from .lasso import AdmmParams, admm_all_at_once, lasso_gdf
+from .lasso import (
+    AdmmParams,
+    _gsure_aux,
+    admm_all_at_once,
+    lasso_dp_index,
+    lasso_risk_curves,
+)
 from .problem import ProblemInstance, build_problem, problem_hash
 from .rules import (
     AlphaGrid,
@@ -50,7 +56,7 @@ from .rules import (
     prediction_weight_table,
     trace_pinv_gram,
 )
-from .spectral import decompose
+from .spectral import _filter, _residual_weight, decompose
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -76,6 +82,7 @@ __all__ = [
     "write_records_csv",
     "read_records_csv",
     "summary_json",
+    "write_summary_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -167,15 +174,16 @@ def _quadratic_tables(cfg, problem, dec):
     T.W1 = prediction_weight_table(dec, grid)
     T.W2 = estimation_weight_table(dec, grid)
     T.F = filter_table(dec, grid)
-    # the affine parts of psure and gsure; a huge sigma may overflow them,
-    # which the chunk's non-finite checks report
+    # the affine parts of psure and gsure and the expected data power; a
+    # huge sigma or x* may overflow them, which the chunk's non-finite
+    # checks report
     with np.errstate(over="ignore", invalid="ignore"):
         T.psure_shift = 2.0 * s2 * df_table(dec, grid)
         T.gsure_shift = 2.0 * s2 * gdf_table(dec, grid)
         T.s2s1 = s2 * trace_pinv_gram(dec)
-    T.e2 = expected_data_power(dec, xs_full, cfg.sigma)
-    T.e2w1 = T.e2 @ T.W1
-    T.e2w2 = T.e2[:r] @ T.W2
+        T.e2 = expected_data_power(dec, xs_full, cfg.sigma)
+        T.e2w1 = T.e2 @ T.W1
+        T.e2w2 = T.e2[:r] @ T.W2
     T.c0_est = neumaier_sum(xs_full * xs_full)
     T.signal = np.zeros(dec.m)
     T.signal[: dec.q] = dec.gammas * xs_full[: dec.q]
@@ -274,12 +282,11 @@ def _dp_roots(g, Y2r, tails, msig2, lo, hi, rel_tol=1e-6):
     column matmul against its own strided column of Y2r, the BLAS dot a
     one-draw `w @ y2` makes, so the signs and roots are the same as well.
     """
-    g2 = g * g
     y2 = Y2r.T[:, :, None]
     active = hi - lo > rel_tol * lo
     while np.any(active):
         mid = 0.5 * (lo + hi)
-        w = (mid[:, None] / (g2[None, :] + mid[:, None])) ** 2
+        w = _residual_weight(g[None, :], mid[:, None])
         up = np.matmul(w[:, None, :], y2)[:, 0, 0] + tails - msig2 >= 0.0
         hi = np.where(active & up, mid, hi)
         lo = np.where(active & ~up, mid, lo)
@@ -434,10 +441,7 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
         per_rule[rule] = (
             vals[idx], np.sqrt(pick.err2), e_l1, (idx == 0) | (idx == K - 1))
     if dp_alpha is not None:
-        with np.errstate(invalid="ignore"):
-            Fdp = T.g[:, None] / (T.g[:, None] ** 2 + dp_alpha[None, :])
-        Fdp[:, ~np.isfinite(dp_alpha)] = 0.0  # infinite alpha shrinks to zero
-        e_l2, e_l1 = errors_at_filters(Fdp)
+        e_l2, e_l1 = errors_at_filters(_filter(T.g[:, None], dp_alpha))
         per_rule["dp"] = (dp_alpha, e_l2, e_l1, dp_flag)
 
     records = []
@@ -488,39 +492,15 @@ def _run_quadratic(cfg, problem, dec, workers, extras):
     return records
 
 
-def _gdf_along_grid(A, Z, projector):
-    K = Z.shape[1]
-    out = np.empty(K)
-    prev_key = None
-    prev_val = 0.0
-    for k in range(K):
-        support = np.flatnonzero(Z[:, k])
-        key = support.tobytes()
-        if key != prev_key:
-            prev_val = lasso_gdf(A, support, projector=projector)
-            prev_key = key
-        out[k] = prev_val
-    return out
-
-
 def _run_lasso(cfg, problem, dec, extras):
     A = problem.A
     x_star = problem.x_star
-    m = cfg.m
     sigma = cfg.sigma
-    s2 = sigma * sigma
-    msig2 = m * s2
     grid = cfg.grid
     vals = grid.values
     K = len(grid)
     params = cfg.admm if cfg.admm is not None else AdmmParams()
-
-    g = dec.gammas[: dec.r]
-    pinv = (dec.V[:, : dec.r] / g[None, :]) @ dec.U[:, : dec.r].T
-    projector = None
-    if dec.r < dec.n:
-        projector = dec.V[:, : dec.r] @ dec.V[:, : dec.r].T
-    trace_pinv = trace_pinv_gram(dec)
+    aux = _gsure_aux(dec)
     ax_star = A @ x_star
 
     children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.n_draws)
@@ -528,20 +508,9 @@ def _run_lasso(cfg, problem, dec, extras):
 
     def solve_draw(child):
         rng = np.random.default_rng(child)
-        y = ax_star + sigma * rng.standard_normal(m)
+        y = ax_star + sigma * rng.standard_normal(cfg.m)
         path = admm_all_at_once(A, y, vals, params)
         return y, path
-
-    def curves(y, Z):
-        resid = y[:, None] - A @ Z
-        res2 = np.einsum("ij,ij->j", resid, resid)
-        dfv = np.count_nonzero(Z, axis=0).astype(float)
-        psure_c = res2 - msig2 + 2.0 * s2 * dfv
-        pd = (pinv @ y)[:, None] - Z
-        est2 = np.einsum("ij,ij->j", pd, pd)
-        gdfv = _gdf_along_grid(A, Z, projector)
-        gsure_c = est2 - s2 * trace_pinv + 2.0 * s2 * gdfv
-        return res2, psure_c, gsure_c
 
     # pass 1: sample-mean risk curves
     sum_psure = np.zeros(K)
@@ -550,7 +519,7 @@ def _run_lasso(cfg, problem, dec, extras):
         y, path = solve_draw(children[k])
         if not bool(np.all(path.converged_flags)):
             unconverged += 1
-        _, psure_c, gsure_c = curves(y, path.Z)
+        _, psure_c, gsure_c = lasso_risk_curves(A, y, path.Z, sigma, aux)
         sum_psure += psure_c
         sum_gsure += gsure_c
     mean_psure = sum_psure / cfg.n_draws
@@ -561,7 +530,7 @@ def _run_lasso(cfg, problem, dec, extras):
     for k in range(cfg.n_draws):
         y, path = solve_draw(children[k])
         Z = path.Z
-        res2, psure_c, gsure_c = curves(y, Z)
+        res2, psure_c, gsure_c = lasso_risk_curves(A, y, Z, sigma, aux)
         diff = x_star[:, None] - Z
         err_l2 = np.sqrt(np.einsum("ij,ij->j", diff, diff))
         err_l1 = np.sum(np.abs(diff), axis=0)
@@ -583,13 +552,7 @@ def _run_lasso(cfg, problem, dec, extras):
             _ensure_finite(gsure_c[None, :], "estimation-risk estimate", k, grid)
             idx_by_rule["sure"] = int(K - 1 - np.argmin(gsure_c[::-1]))
         if "dp" in cfg.rules:
-            nonneg = res2 - msig2 >= 0.0
-            if nonneg[0]:
-                idx_by_rule["dp"] = 0
-            elif not np.any(nonneg):
-                idx_by_rule["dp"] = K - 1
-            else:
-                idx_by_rule["dp"] = int(np.argmax(nonneg))
+            idx_by_rule["dp"] = lasso_dp_index(res2, cfg.m, sigma)
 
         outcomes = {}
         for rule in cfg.rules:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regrisk import lasso
 from regrisk import (
     AdmmParams,
     NumericError,
@@ -10,9 +11,11 @@ from regrisk import (
     admm_per_alpha,
     gsure_aux,
     lasso_df,
+    lasso_dp_index,
     lasso_gdf,
     lasso_gsure_value,
     lasso_psure_value,
+    lasso_risk_curves,
     row_space_projector,
     soft_threshold,
 )
@@ -230,3 +233,47 @@ def test_risk_estimate_values_manual():
     )
     assert lasso_gsure_value(A, y, z, sigma, aux=aux) == pytest.approx(
         want_gsure, rel=1e-10)
+
+
+def test_gsure_aux_matches_dense_pseudo_inverse():
+    for seed, m, n in ((15, 10, 6), (16, 6, 8), (18, 8, 8)):
+        A, _, _ = make_lasso_instance(seed, m=m, n=n)
+        aux = gsure_aux(A)
+        pinv = np.linalg.pinv(A)
+        np.testing.assert_allclose(aux.pinv, pinv, atol=1e-10)
+        if aux.projector is not None:
+            np.testing.assert_allclose(aux.projector, pinv @ A, atol=1e-10)
+
+
+def test_risk_curves_match_scalar_values(monkeypatch):
+    A, y, _ = make_lasso_instance(19, m=8, n=10)
+    alphas = alpha_span(A, y, 12)
+    Z = admm_all_at_once(A, y, alphas).Z
+    sigma = 0.1
+    aux = gsure_aux(A)
+    calls = []
+
+    def counted_gdf(*args, **kwargs):
+        calls.append(1)
+        return lasso_gdf(*args, **kwargs)
+
+    monkeypatch.setattr(lasso, "lasso_gdf", counted_gdf)
+    res2, psure, gsure = lasso_risk_curves(A, y, Z, sigma, aux)
+    n_calls = len(calls)
+    for k, z in enumerate(Z.T):
+        r = y - A @ z
+        assert res2[k] == pytest.approx(float(r @ r), rel=1e-12)
+        assert psure[k] == pytest.approx(
+            lasso_psure_value(A, y, z, sigma), rel=1e-12, abs=1e-14)
+        assert gsure[k] == pytest.approx(
+            lasso_gsure_value(A, y, z, sigma, aux=aux), rel=1e-10, abs=1e-12)
+    # one gdf per distinct support, the empty one included
+    supports = {np.flatnonzero(z).tobytes() for z in Z.T}
+    assert n_calls == len(supports) < Z.shape[1]
+
+
+def test_dp_index_first_nonnegative_discrepancy():
+    m, sigma = 4, 0.5  # m sigma^2 = 1
+    assert lasso_dp_index(np.array([0.2, 0.9, 1.0, 3.0]), m, sigma) == 2
+    assert lasso_dp_index(np.array([1.5, 2.0, 3.0]), m, sigma) == 0
+    assert lasso_dp_index(np.array([0.1, 0.2, 0.3]), m, sigma) == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -6,18 +8,23 @@ from regrisk import (
     AlphaGrid,
     NumericError,
     SpectralDecomposition,
+    build_problem,
     c_constant,
     d_constant,
     decompose,
     default_lasso_grid,
     default_quadratic_grid,
+    df_table,
     dp_curve,
     dp_select,
     dp_value,
     edp_curve,
     edp_true,
     effective_gammas,
+    estimation_weight_table,
     expected_data_power,
+    filter_table,
+    gdf_table,
     gsure_curve,
     gsure_select,
     gsure_value,
@@ -32,6 +39,7 @@ from regrisk import (
     mspe_true,
     oracle_error_curve,
     oracle_select,
+    prediction_weight_table,
     psure_alpha_bounds,
     psure_curve,
     psure_select,
@@ -175,6 +183,73 @@ def test_curves_match_scalars(dec16, coords16):
     for curve, scalar in pairs:
         want = np.array([scalar(a) for a in grid.values])
         np.testing.assert_allclose(curve, want, rtol=1e-10, atol=1e-12)
+
+
+def test_curves_take_a_1d_alpha_array(dec16, coords16):
+    grid = AlphaGrid(-6.0, 6.0, 0.75, includes_infinity=True)
+    alphas = np.array([2.5e-3, 0.7, 0.0, np.inf, 31.0])
+    xs = coords16.xstar_coords
+    for curve, scalar in (
+        (dp_curve, lambda a: dp_value(dec16, coords16, a, SIGMA)),
+        (psure_curve, lambda a: psure_value(dec16, coords16, a, SIGMA)),
+        (gsure_curve, lambda a: gsure_value(dec16, coords16, a, SIGMA)),
+    ):
+        want = np.array([scalar(a) for a in alphas])
+        np.testing.assert_allclose(
+            curve(dec16, coords16, alphas, SIGMA), want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(
+        oracle_error_curve(dec16, coords16, xs, grid.values),
+        oracle_error_curve(dec16, coords16, xs, grid), rtol=1e-12)
+    for bad in ([], [[1.0]], [1.0, np.nan], [-1.0]):
+        with pytest.raises(ValueError):
+            dp_curve(dec16, coords16, np.array(bad, dtype=float), SIGMA)
+
+
+def _whole_grid_tables(dec, grid):
+    # the table expressions built through whole-grid temporaries
+    vals = grid.values
+    nf = grid.n_finite
+    g = dec.gammas[: dec.r]
+    F = np.zeros((dec.r, len(grid)))
+    F[:, :nf] = g[:, None] / (g[:, None] ** 2 + vals[None, :nf])
+    W1 = np.ones((dec.m, len(grid)))
+    W1[: dec.r, :nf] = (vals[None, :nf] / (g[:, None] ** 2 + vals[None, :nf])) ** 2
+    W2 = np.empty((dec.r, len(grid)))
+    W2[:, :nf] = (
+        vals[None, :nf] / (g[:, None] * (g[:, None] ** 2 + vals[None, :nf]))) ** 2
+    W2[:, nf:] = (1.0 / (g * g))[:, None]
+    dfs = np.zeros(len(grid))
+    dfs[:nf] = np.sum(g[:, None] ** 2 / (g[:, None] ** 2 + vals[None, :nf]), axis=0)
+    gdfs = np.zeros(len(grid))
+    gdfs[:nf] = np.sum(1.0 / (g[:, None] ** 2 + vals[None, :nf]), axis=0)
+    return {filter_table: F, prediction_weight_table: W1,
+            estimation_weight_table: W2, df_table: dfs, gdf_table: gdfs}
+
+
+@pytest.mark.parametrize("m, n", [(16, 16), (8, 12), (12, 8)])
+def test_tables_equal_whole_grid_expressions(m, n):
+    dec = decompose(build_problem(m, n, 0.06, 0.1).A)
+    for grid in (default_quadratic_grid(), AlphaGrid(-3.0, 3.0, 0.5)):
+        for build, want in _whole_grid_tables(dec, grid).items():
+            got = build(dec, grid)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), build.__name__
+
+
+def test_table_builders_peak_at_their_output_size():
+    # each table is built in place in its output array: at m = 64 on the
+    # default grid no builder allocates a tenth of its output beside it
+    dec = decompose(build_problem(64, 64, 0.06, 0.1).A)
+    grid = default_quadratic_grid()
+    for build in (filter_table, prediction_weight_table,
+                  estimation_weight_table, df_table, gdf_table):
+        tracemalloc.start()
+        try:
+            out = build(dec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes, build.__name__
 
 
 def test_loss_curves_match_scalars(dec16, coords16):
