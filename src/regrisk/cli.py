@@ -36,6 +36,7 @@ from .problem import build_problem, load_problem, problem_hash, save_problem
 from .rules import (
     AlphaGrid,
     ORACLE_METRICS,
+    _argmin_larger,
     default_lasso_grid,
     default_quadratic_grid,
     dp_select,
@@ -48,13 +49,12 @@ from .study import (
     SCHEMA_VERSION,
     StudyConfig,
     _config_dict,
-    error_stats,
+    _rule_stats,
     mean_sup_deviation,
     rate_check,
     read_records_csv,
     run_study,
     summary_json,
-    win_fraction,
     write_records_csv,
     write_summary_json,
 )
@@ -292,21 +292,24 @@ def _run_and_export(cfg, parser, regularizer, default_grid, default_metric,
         parser.error(f"unknown metric {metric!r}")
     started = time.time()
     problem, m, n, l, sigma = _load_or_build_problem(cfg, parser)
-    grid = _grid_from(cfg, default_grid, allow_infinity=regularizer == "quadratic")
-    config = StudyConfig(
-        m=m,
-        n=n,
-        l=l,
-        sigma=sigma,
-        grid=grid,
-        n_draws=cfg["draws"],
-        master_seed=cfg["seed"],
-        rules=cfg["rules"],
-        regularizer=regularizer,
-        metric=metric,
-        track_loss_closeness=bool(cfg["track_loss"]),
-        admm=admm,
-    )
+    try:
+        config = StudyConfig(
+            m=m,
+            n=n,
+            l=l,
+            sigma=sigma,
+            grid=_grid_from(
+                cfg, default_grid, allow_infinity=regularizer == "quadratic"),
+            n_draws=cfg["draws"],
+            master_seed=cfg["seed"],
+            rules=cfg["rules"],
+            regularizer=regularizer,
+            metric=metric,
+            track_loss_closeness=bool(cfg["track_loss"]),
+            admm=admm,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     extras = {}
     records = run_study(
         config, problem=problem, workers=cfg["workers"], extras=extras
@@ -369,7 +372,10 @@ _LASSO_TABLE = _STUDY_TABLE + [
 
 def _cmd_lasso_study(parsed, parser):
     cfg = _resolve(parsed, _LASSO_TABLE, parser)
-    admm = AdmmParams(rho=cfg["rho"], tol=cfg["tol"], max_iter=cfg["max_iter"])
+    try:
+        admm = AdmmParams(rho=cfg["rho"], tol=cfg["tol"], max_iter=cfg["max_iter"])
+    except ValueError as exc:
+        parser.error(str(exc))
     return _run_and_export(
         cfg, parser, "lasso", default_lasso_grid(), "l1", admm=admm,
         command="lasso-study",
@@ -462,8 +468,7 @@ _DEMO_TABLE = [
 
 
 def _demo_pick(out_rows, kind, alphas, estimates, errors):
-    # the estimate's argmin, ties to the larger alpha
-    idx = int(len(estimates) - 1 - np.argmin(estimates[::-1]))
+    idx = int(_argmin_larger(estimates))
     for a, v, e in zip(alphas, estimates, errors):
         out_rows.append((kind, float(a), float(v), float(e)))
     return float(alphas[idx]), float(errors[idx]), float(estimates[idx])
@@ -492,21 +497,20 @@ def _demo_lasso(problem, y, out_rows):
     A, sigma = problem.A, problem.sigma
     vals = default_lasso_grid().values
     aux = gsure_aux(A)
-    path = admm_all_at_once(A, y, vals)
-    res2, _, _ = lasso_risk_curves(A, y, path.Z, sigma, aux)
+    Z_log = admm_all_at_once(A, y, vals).Z
+    res2, _, gsure_log = lasso_risk_curves(A, y, Z_log, sigma, aux)
     alpha_dp = float(vals[lasso_dp_index(res2, problem.m, sigma)])
 
-    def pick(kind, alphas, Z):
+    def pick(kind, alphas, Z, gsure):
         diff = problem.x_star[:, None] - Z
-        return _demo_pick(
-            out_rows, kind, alphas,
-            lasso_risk_curves(A, y, Z, sigma, aux)[2],
-            np.sqrt(np.einsum("ij,ij->j", diff, diff)),
-        )
+        return _demo_pick(out_rows, kind, alphas, gsure,
+                          np.sqrt(np.einsum("ij,ij->j", diff, diff)))
 
     lin_alphas = alpha_dp / 10.0 * np.arange(1, 21)
-    lin = pick("linear", lin_alphas, admm_per_alpha(A, y, lin_alphas, n_iter=20).Z)
-    log = pick("log", vals, path.Z)
+    Z_lin = admm_per_alpha(A, y, lin_alphas, n_iter=20).Z
+    lin = pick("linear", lin_alphas, Z_lin,
+               lasso_risk_curves(A, y, Z_lin, sigma, aux)[2])
+    log = pick("log", vals, Z_log, gsure_log)
     return alpha_dp, lin, log
 
 
@@ -581,25 +585,8 @@ def _cmd_stats(parsed, parser):
     records, rules = read_records_csv(cfg["records"])
     if not records:
         parser.error(f"no rows in {cfg['records']}")
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "n_draws": len(records),
-        "rules": rules,
-        "stats": {
-            rule: error_stats(records, rule, metric=cfg["metric"])
-            for rule in rules
-        },
-        "mean_sup_dev": {
-            "psure": mean_sup_deviation(records, "psure"),
-            "gsure": mean_sup_deviation(records, "gsure"),
-        },
-    }
-    if "dp" in rules:
-        report["win_fractions_vs_dp"] = {
-            rule: win_fraction(records, rule, "dp", metric=cfg["metric"])
-            for rule in rules
-            if rule != "dp"
-        }
+    report = _rule_stats(records, rules, cfg["metric"])
+    report.update(schema_version=SCHEMA_VERSION, n_draws=len(records), rules=rules)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if cfg["out"]:

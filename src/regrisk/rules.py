@@ -429,6 +429,17 @@ def oracle_error_curve(dec, coords, xstar_coords, grid, metric="l2_estimation"):
 # selection
 
 
+def _argmin_larger(values, spare=None):
+    """Argmin along the last axis with ties (and NaN) going to the larger
+    alpha: argmin over the reversed entries. spare, a free array of the
+    same shape, takes the reversed copy argmin would otherwise make."""
+    rev = values[..., ::-1]
+    if spare is not None:
+        np.copyto(spare, rev)
+        rev = spare
+    return values.shape[-1] - 1 - np.argmin(rev, axis=-1)
+
+
 def select_by_minimization(values, grid: AlphaGrid, rule: str = "custom") -> RuleSelection:
     """Grid argmin with ties resolved toward the larger alpha.
 
@@ -448,7 +459,7 @@ def select_by_minimization(values, grid: AlphaGrid, rule: str = "custom") -> Rul
             f"objective for rule {rule!r} is not finite at alpha={grid.values[k]!r}"
             f" (grid index {k})"
         )
-    idx = vals.size - 1 - int(np.argmin(vals[::-1]))
+    idx = int(_argmin_larger(vals))
     return RuleSelection(
         rule=rule,
         alpha_hat=float(grid.values[idx]),

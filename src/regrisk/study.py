@@ -17,10 +17,10 @@ Chunk boundaries and the per-draw seed derivation are independent of the
 worker count, and the reduction keeps draw order, so results are
 bit-identical no matter how the work is scheduled.
 
-The l1 path runs two passes over the same draws: the first accumulates
-sample-mean curves of the risk estimates (these stand in for the exact
-risk curves, which have no closed form here), the second replays the
-draws and records selections plus sup deviations against those means.
+The l1 path solves each draw once, records its selections and keeps its
+two risk-estimate curves. Their sample means stand in for the exact risk
+curves, which have no closed form here; once all draws are in, each
+draw's sup deviations are taken against those means.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .problem import ProblemInstance, build_problem, problem_hash
 from .rules import (
     AlphaGrid,
     ORACLE_METRICS,
+    _argmin_larger,
     c_constant,
     df_table,
     estimation_weight_table,
@@ -148,11 +149,10 @@ def _not_finite(name, draw, alpha) -> NumericError:
     return NumericError(f"{name} is not finite at draw {draw}, alpha={alpha!r}")
 
 
-def _ensure_finite(mat, name, start_index, grid):
-    if np.all(np.isfinite(mat)):
-        return
-    rows, cols = np.nonzero(~np.isfinite(np.atleast_2d(mat)))
-    raise _not_finite(name, start_index + int(rows[0]), grid.values[int(cols[0])])
+def _ensure_finite(curve, name, draw, grid):
+    bad = ~np.isfinite(curve)
+    if bad.any():
+        raise _not_finite(name, draw, grid.values[int(np.argmax(bad))])
 
 
 def _draw_noise_block(children, sigma, m) -> np.ndarray:
@@ -217,15 +217,15 @@ def _column_spans(K, c):
     return list(zip(starts, starts[1:] + [K]))
 
 
-def _block_argmin(blk, spare):
-    """Row minima of a block and their columns.
+def _rowmax_abs(x):
+    """Row maxima of |x|, taken in place in x."""
+    return np.max(np.abs(x, out=x), axis=1)
 
-    Ties (and NaN) go to the larger alpha, hence argmin over reversed
-    columns. The reversed rows are copied into spare, a free work block;
-    argmin would otherwise copy them into a new array.
-    """
-    np.copyto(spare, blk[:, ::-1])
-    local = blk.shape[1] - 1 - np.argmin(spare, axis=1)
+
+def _block_argmin(blk, spare):
+    """Row minima of a block and their columns, ties (and NaN) to the
+    larger alpha; spare is a free work block for the reversed rows."""
+    local = _argmin_larger(blk, spare)
     return local, blk[np.arange(blk.shape[0]), local]
 
 
@@ -329,9 +329,6 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
     work = np.empty((4 if track else 3, c * width))
     squares = np.empty(r * width)  # F**2 of a block, the quad-term table
 
-    def rowmax_abs(x):
-        return np.max(np.abs(x, out=x), axis=1)
-
     # extreme inputs are allowed to overflow here; the non-finite checks
     # turn any inf/nan into a NumericError naming draw and alpha
     with np.errstate(over="ignore", invalid="ignore"):
@@ -355,7 +352,7 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
             # the deviations from the exact risk curves share the random
             # term, so the df parts cancel and the centered sums give both
             sup_psure = np.maximum(
-                sup_psure, rowmax_abs(np.subtract(P, T.e2w1[a:b], out=S)))
+                sup_psure, _rowmax_abs(np.subtract(P, T.e2w1[a:b], out=S)))
             np.subtract(P, msig2, out=P)  # discrepancy
             if dp_on and a < nf:
                 neg_count += np.count_nonzero(P[:, : min(b, nf) - a] < 0.0, axis=1)
@@ -374,11 +371,11 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
                 if track:
                     np.divide(P, m, out=Q)
                     np.subtract(Q, np.divide(S, m, out=S), out=Q)
-                    sup_loss_p = np.maximum(sup_loss_p, rowmax_abs(Q))
+                    sup_loss_p = np.maximum(sup_loss_p, _rowmax_abs(Q))
 
             np.matmul(Y2r_t, T.W2[:, a:b], out=P)  # estimation-side sums
             sup_gsure = np.maximum(
-                sup_gsure, rowmax_abs(np.subtract(P, T.e2w2[a:b], out=S)))
+                sup_gsure, _rowmax_abs(np.subtract(P, T.e2w2[a:b], out=S)))
             np.subtract(P, T.s2s1, out=P)
             np.add(P, T.gsure_shift[a:b], out=P)  # gsure
             checks[1].update(P, a)
@@ -393,7 +390,7 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
                 np.subtract(T.c0_tilde, S, out=tilde)
                 np.multiply(np.add(tilde, Q, out=tilde), T.c_m, out=tilde)
                 np.subtract(np.multiply(P, T.c_m, out=P), tilde, out=P)
-                sup_loss_g = np.maximum(sup_loss_g, rowmax_abs(P))
+                sup_loss_g = np.maximum(sup_loss_g, _rowmax_abs(P))
             err2 = np.add(np.subtract(T.c0_est, S, out=S), Q, out=S)
             np.maximum(err2, 0.0, out=err2)
             checks[2].update(err2, a)
@@ -436,38 +433,36 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
 
     per_rule = {}
     for rule, pick in picks.items():
-        idx = pick.index
-        _, e_l1 = errors_at_filters(T.F[:, idx])
-        per_rule[rule] = (
-            vals[idx], np.sqrt(pick.err2), e_l1, (idx == 0) | (idx == K - 1))
+        _, e_l1 = errors_at_filters(T.F[:, pick.index])
+        per_rule[rule] = _grid_picks(vals, pick.index, np.sqrt(pick.err2), e_l1)
     if dp_alpha is not None:
         e_l2, e_l1 = errors_at_filters(_filter(T.g[:, None], dp_alpha))
         per_rule["dp"] = (dp_alpha, e_l2, e_l1, dp_flag)
+    loss_sups = (sup_loss_p, sup_loss_g) if track else ()
+    return _build_records(rules, per_rule, range(start_index, start_index + c),
+                          sup_psure, sup_gsure, *loss_sups)
 
-    records = []
-    for j in range(c):
-        outcomes = {}
-        for rule in rules:
-            a, e2v, e1v, flags = per_rule[rule]
-            outcomes[rule] = RuleOutcome(
-                alpha_hat=float(a[j]),
-                error_l2=float(e2v[j]),
-                error_l1=float(e1v[j]),
-                at_boundary=bool(flags[j]),
-            )
-        records.append(
-            StudyRecord(
-                draw_index=start_index + j,
-                outcomes=outcomes,
-                sup_dev_psure=float(sup_psure[j]),
-                sup_dev_gsure=float(sup_gsure[j]),
-                sup_loss_psure=(
-                    float(sup_loss_p[j]) if sup_loss_p is not None else None),
-                sup_loss_gsure=(
-                    float(sup_loss_g[j]) if sup_loss_g is not None else None),
-            )
-        )
-    return records
+
+def _grid_picks(vals, idx, e_l2, e_l1):
+    """A rule's per-draw arrays for grid picks idx: the first and last
+    slots are boundary picks."""
+    return vals[idx], e_l2, e_l1, (idx == 0) | (idx == vals.size - 1)
+
+
+def _build_records(rules, per_rule, draws, *sups):
+    """One StudyRecord per draw index in draws, from each rule's per-draw
+    arrays (alpha, error_l2, error_l1, at_boundary) and the per-draw sup
+    arrays (psure, gsure, then the two loss sups when tracked)."""
+    columns = {rule: [np.asarray(col).tolist() for col in per_rule[rule]]
+               for rule in rules}
+    sups = zip(*(np.asarray(s).tolist() for s in sups))
+    return [
+        StudyRecord(draw, {
+            rule: RuleOutcome(*(col[j] for col in cols))
+            for rule, cols in columns.items()
+        }, *sup)
+        for j, (draw, sup) in enumerate(zip(draws, sups))
+    ]
 
 
 def _run_quadratic(cfg, problem, dec, workers, extras):
@@ -498,80 +493,55 @@ def _run_lasso(cfg, problem, dec, extras):
     sigma = cfg.sigma
     grid = cfg.grid
     vals = grid.values
-    K = len(grid)
+    n_draws = cfg.n_draws
     params = cfg.admm if cfg.admm is not None else AdmmParams()
     aux = _gsure_aux(dec)
     ax_star = A @ x_star
+    children = np.random.SeedSequence(cfg.master_seed).spawn(n_draws)
+    eps = _draw_noise_block(children, sigma, cfg.m)
 
-    children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.n_draws)
+    psure_rows = np.empty((n_draws, len(grid)))
+    gsure_rows = np.empty((n_draws, len(grid)))
+    sum_psure = np.zeros(len(grid))
+    sum_gsure = np.zeros(len(grid))
+    picks = {rule: [] for rule in cfg.rules}  # per draw: (index, l2, l1 error)
     unconverged = 0
-
-    def solve_draw(child):
-        rng = np.random.default_rng(child)
-        y = ax_star + sigma * rng.standard_normal(cfg.m)
+    for k in range(n_draws):
+        y = ax_star + eps[:, k]
         path = admm_all_at_once(A, y, vals, params)
-        return y, path
+        unconverged += not np.all(path.converged_flags)
+        res2, psure_rows[k], gsure_rows[k] = lasso_risk_curves(
+            A, y, path.Z, sigma, aux)
+        sum_psure += psure_rows[k]
+        sum_gsure += gsure_rows[k]
 
-    # pass 1: sample-mean risk curves
-    sum_psure = np.zeros(K)
-    sum_gsure = np.zeros(K)
-    for k in range(cfg.n_draws):
-        y, path = solve_draw(children[k])
-        if not bool(np.all(path.converged_flags)):
-            unconverged += 1
-        _, psure_c, gsure_c = lasso_risk_curves(A, y, path.Z, sigma, aux)
-        sum_psure += psure_c
-        sum_gsure += gsure_c
-    mean_psure = sum_psure / cfg.n_draws
-    mean_gsure = sum_gsure / cfg.n_draws
-
-    # pass 2: replay the same draws, select and record
-    records = []
-    for k in range(cfg.n_draws):
-        y, path = solve_draw(children[k])
-        Z = path.Z
-        res2, psure_c, gsure_c = lasso_risk_curves(A, y, Z, sigma, aux)
-        diff = x_star[:, None] - Z
+        diff = x_star[:, None] - path.Z
         err_l2 = np.sqrt(np.einsum("ij,ij->j", diff, diff))
         err_l1 = np.sum(np.abs(diff), axis=0)
+        curves = {"psure": psure_rows[k], "sure": gsure_rows[k],
+                  "oracle": err_l1 if cfg.metric == "l1" else err_l2}
+        if cfg.metric == "l2_prediction":
+            pr = ax_star[:, None] - A @ path.Z
+            curves["oracle"] = np.sqrt(np.einsum("ij,ij->j", pr, pr))
+        for rule, got in picks.items():
+            i = (lasso_dp_index(res2, cfg.m, sigma) if rule == "dp"
+                 else _argmin_larger(curves[rule]))
+            got.append((i, err_l2[i], err_l1[i]))
 
-        idx_by_rule = {}
-        if "oracle" in cfg.rules:
-            if cfg.metric == "l1":
-                sel = err_l1
-            elif cfg.metric == "l2_estimation":
-                sel = err_l2
-            else:
-                pr = ax_star[:, None] - A @ Z
-                sel = np.sqrt(np.einsum("ij,ij->j", pr, pr))
-            idx_by_rule["oracle"] = int(K - 1 - np.argmin(sel[::-1]))
-        if "psure" in cfg.rules:
-            _ensure_finite(psure_c[None, :], "prediction-risk estimate", k, grid)
-            idx_by_rule["psure"] = int(K - 1 - np.argmin(psure_c[::-1]))
-        if "sure" in cfg.rules:
-            _ensure_finite(gsure_c[None, :], "estimation-risk estimate", k, grid)
-            idx_by_rule["sure"] = int(K - 1 - np.argmin(gsure_c[::-1]))
-        if "dp" in cfg.rules:
-            idx_by_rule["dp"] = lasso_dp_index(res2, cfg.m, sigma)
-
-        outcomes = {}
-        for rule in cfg.rules:
-            idx = idx_by_rule[rule]
-            boundary = idx == 0 or idx == K - 1
-            outcomes[rule] = RuleOutcome(
-                alpha_hat=float(vals[idx]),
-                error_l2=float(err_l2[idx]),
-                error_l1=float(err_l1[idx]),
-                at_boundary=bool(boundary),
-            )
-        records.append(
-            StudyRecord(
-                draw_index=k,
-                outcomes=outcomes,
-                sup_dev_psure=float(np.max(np.abs(psure_c - mean_psure))),
-                sup_dev_gsure=float(np.max(np.abs(gsure_c - mean_gsure))),
-            )
-        )
+    for k in range(n_draws):
+        for rule, rows, name in (("psure", psure_rows, "prediction-risk estimate"),
+                                 ("sure", gsure_rows, "estimation-risk estimate")):
+            if rule in picks:
+                _ensure_finite(rows[k], name, k, grid)
+    mean_psure = sum_psure / n_draws
+    mean_gsure = sum_gsure / n_draws
+    per_rule = {rule: _grid_picks(vals, *map(np.array, zip(*got)))
+                for rule, got in picks.items()}
+    # the rows are not needed after their sups, which are taken in place
+    records = _build_records(
+        cfg.rules, per_rule, range(n_draws),
+        _rowmax_abs(np.subtract(psure_rows, mean_psure, out=psure_rows)),
+        _rowmax_abs(np.subtract(gsure_rows, mean_gsure, out=gsure_rows)))
 
     if extras is not None:
         extras["grid_values"] = vals
@@ -898,39 +868,49 @@ def read_records_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rules = [c[: -len("_alpha")] for c in header if c.endswith("_alpha")]
-        include_loss = "sup_loss_psure" in header
-        records = []
-        for row in reader:
-            vals = dict(zip(header, row))
-            outcomes = {
-                rule: RuleOutcome(
-                    alpha_hat=float(vals[f"{rule}_alpha"]),
-                    error_l2=float(vals[f"{rule}_error_l2"]),
-                    error_l1=float(vals[f"{rule}_error_l1"]),
-                    at_boundary=vals[f"{rule}_at_boundary"] == "1",
-                )
-                for rule in rules
-            }
-            records.append(
-                StudyRecord(
-                    draw_index=int(vals["draw_index"]),
-                    outcomes=outcomes,
-                    sup_dev_psure=float(vals["sup_dev_psure"]),
-                    sup_dev_gsure=float(vals["sup_dev_gsure"]),
-                    sup_loss_psure=(
-                        float(vals["sup_loss_psure"]) if include_loss else None),
-                    sup_loss_gsure=(
-                        float(vals["sup_loss_gsure"]) if include_loss else None),
-                )
-            )
-    return records, rules
+        columns = dict.fromkeys(header, ())
+        columns.update(zip(header, zip(*reader)))
+    rules = [c[: -len("_alpha")] for c in header if c.endswith("_alpha")]
+
+    def floats(name):
+        return [float(v) for v in columns[name]]
+
+    per_rule = {
+        rule: [floats(f"{rule}_{field}") for field in ("alpha", "error_l2", "error_l1")]
+        + [[v == "1" for v in columns[f"{rule}_at_boundary"]]]
+        for rule in rules
+    }
+    sups = [floats(name) for name in ("sup_dev_psure", "sup_dev_gsure",
+                                      "sup_loss_psure", "sup_loss_gsure")
+            if name in columns]
+    draws = [int(v) for v in columns["draw_index"]]
+    return _build_records(rules, per_rule, draws, *sups), rules
 
 
 def _config_dict(config: StudyConfig) -> dict:
     d = dataclasses.asdict(config)
     d["rules"] = list(config.rules)
     return d
+
+
+def _rule_stats(records, rules, metric="l2") -> dict:
+    """The per-rule blocks of a study report for one error metric: error
+    statistics ("stats"), mean sup deviations and, when dp ran, the win
+    fractions against it."""
+    report = {
+        "stats": {rule: error_stats(records, rule, metric) for rule in rules},
+        "mean_sup_dev": {
+            "psure": mean_sup_deviation(records, "psure"),
+            "gsure": mean_sup_deviation(records, "gsure"),
+        },
+    }
+    if "dp" in rules:
+        report["win_fractions_vs_dp"] = {
+            rule: win_fraction(records, rule, "dp", metric)
+            for rule in rules
+            if rule != "dp"
+        }
+    return report
 
 
 def summary_json(config: StudyConfig, records, problem_hash_value=None) -> dict:
@@ -940,21 +920,12 @@ def summary_json(config: StudyConfig, records, problem_hash_value=None) -> dict:
         "config": _config_dict(config),
         "n_draws": len(records),
         "problem_hash": problem_hash_value,
-        "stats_l2": {rule: error_stats(records, rule) for rule in config.rules},
         "stats_l1": {
             rule: error_stats(records, rule, metric="l1") for rule in config.rules
         },
-        "mean_sup_dev": {
-            "psure": mean_sup_deviation(records, "psure"),
-            "gsure": mean_sup_deviation(records, "gsure"),
-        },
+        **_rule_stats(records, config.rules),
     }
-    if "dp" in config.rules:
-        summary["win_fractions_vs_dp"] = {
-            rule: win_fraction(records, rule, "dp")
-            for rule in config.rules
-            if rule != "dp"
-        }
+    summary["stats_l2"] = summary.pop("stats")
     return summary
 
 

@@ -79,3 +79,41 @@ def test_every_traced_span_is_a_public_function_of_its_layer():
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, (
             f"perfbench/tracer.py keys on {span}, which is not a function "
             f"defined in regrisk.{layer}")
+
+
+def _extras_reads():
+    """(workload, regularizer, keys) for every workload function of
+    perfbench/workloads.py that reads extras["<key>"]."""
+    out = []
+    for fn in _tree("workloads.py").body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        keys = {node.slice.value for node in ast.walk(fn)
+                if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name) and node.value.id == "extras"
+                and isinstance(node.slice, ast.Constant)}
+        regularizers = {kw.value.value for kw in ast.walk(fn)
+                        if isinstance(kw, ast.keyword) and kw.arg == "regularizer"}
+        if keys:
+            assert len(regularizers) <= 1, fn.name
+            out.append((fn.name, regularizers.pop() if regularizers else "quadratic",
+                        sorted(keys)))
+    return out
+
+
+def test_every_extras_key_a_workload_reads_is_set():
+    reads = _extras_reads()
+    assert {reg for _, reg, _ in reads} == {"quadratic", "lasso"}
+    grids = {"quadratic": regrisk.AlphaGrid(-4.0, 2.0, 0.5, includes_infinity=True),
+             "lasso": regrisk.AlphaGrid(-2.0, 0.0, 0.5)}
+    for workload, regularizer, keys in reads:
+        extras = {}
+        cfg = regrisk.StudyConfig(
+            m=8, n=8, l=0.06, sigma=0.1, grid=grids[regularizer], n_draws=2,
+            master_seed=1, regularizer=regularizer,
+            admm=regrisk.AdmmParams(max_iter=200))
+        regrisk.run_study(cfg, extras=extras)
+        missing = [key for key in keys if key not in extras]
+        assert not missing, (
+            f"perfbench/workloads.py:{workload} reads extras {missing}, which "
+            f"run_study does not set for the {regularizer} regularizer")

@@ -74,6 +74,7 @@ def test_run_study_files_and_stats_roundtrip(tmp_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["stats"] == summary["stats_l2"]
+    assert report["mean_sup_dev"] == summary["mean_sup_dev"]
     assert report["win_fractions_vs_dp"] == summary["win_fractions_vs_dp"]
 
     rc = run_cli("stats", "--records", out_a / "records.csv",
@@ -111,6 +112,22 @@ def test_run_study_from_stored_problem(tmp_path, capsys):
         run_cli("run-study", "--problem", tmp_path / "problem.npz",
                 "--m", 32, "--draws", 2, "--out", out_dir)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("lasso-study", "--grid-infinity", 1),  # the l1 path has no +inf penalty
+    ("run-study", "--draws", 0),
+    ("run-study", "--grid-step", 0),
+    ("lasso-study", "--rho", 0),
+])
+def test_configuration_errors_exit_with_usage_status(tmp_path, capsys, command,
+                                                     option, value):
+    # a repeated option overrides the one in STUDY_ARGS
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *STUDY_ARGS, option, value, "--out", tmp_path)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "records.csv").exists()
 
 
 def test_config_file_precedence(tmp_path):

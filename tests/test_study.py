@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -36,7 +37,10 @@ from regrisk import (
     msee_curve,
     oracle_select,
     psure_curve,
+    gsure_aux,
     gsure_curve,
+    lasso_dp_index,
+    lasso_risk_curves,
     psure_select,
     rate_check,
     read_records_csv,
@@ -435,6 +439,110 @@ def test_lasso_records_match_direct_computation(problem16):
         np.testing.assert_allclose(
             rec.sup_dev_psure,
             float(np.max(np.abs(curves[j] - mean_psure))), rtol=1e-9)
+
+
+LASSO_GRID = AlphaGrid(-2.0, 0.0, 0.05)
+
+
+def lasso_config(**kw):
+    base = dict(
+        m=16, n=16, l=0.06, sigma=0.1, grid=LASSO_GRID, n_draws=4,
+        master_seed=78, regularizer="lasso", metric="l1",
+        admm=AdmmParams(max_iter=4000))
+    base.update(kw)
+    return StudyConfig(**base)
+
+
+def test_lasso_study_solves_each_draw_once(problem16, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return admm_all_at_once(*args, **kwargs)
+
+    monkeypatch.setattr(study, "admm_all_at_once", counting)
+    cfg = lasso_config(n_draws=3)
+    assert len(run_study(cfg, problem=problem16)) == 3
+    assert len(calls) == cfg.n_draws
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2_prediction"])
+def test_lasso_one_pass_equals_two_pass_reference(problem16, metric):
+    cfg = lasso_config(metric=metric)
+    extras = {}
+    records = run_study(cfg, problem=problem16, extras=extras)
+    A, x_star, vals, K = problem16.A, problem16.x_star, LASSO_GRID.values, len(LASSO_GRID)
+    aux = gsure_aux(A)
+
+    def solve(j):
+        y = _draw(problem16, cfg, j)
+        Z = admm_all_at_once(A, y, vals, cfg.admm).Z
+        return Z, lasso_risk_curves(A, y, Z, cfg.sigma, aux)
+
+    # first pass: the sums of the curves, in draw order
+    sum_p, sum_g = np.zeros(K), np.zeros(K)
+    for j in range(cfg.n_draws):
+        _, (_, p, g) = solve(j)
+        sum_p += p
+        sum_g += g
+    mean_p, mean_g = sum_p / cfg.n_draws, sum_g / cfg.n_draws
+    assert np.array_equal(extras["first_pass_mean_psure"], mean_p)
+    assert np.array_equal(extras["first_pass_mean_gsure"], mean_g)
+
+    # second pass: solve again, select and compare every field
+    for j, rec in enumerate(records):
+        Z, (res2, p, g) = solve(j)
+        diff = x_star[:, None] - Z
+        err_l2 = np.sqrt(np.einsum("ij,ij->j", diff, diff))
+        err_l1 = np.sum(np.abs(diff), axis=0)
+        if metric == "l1":
+            oracle = err_l1
+        else:
+            pr = (A @ x_star)[:, None] - A @ Z
+            oracle = np.sqrt(np.einsum("ij,ij->j", pr, pr))
+        picks = {
+            "oracle": K - 1 - int(np.argmin(oracle[::-1])),
+            "dp": lasso_dp_index(res2, cfg.m, cfg.sigma),
+            "psure": K - 1 - int(np.argmin(p[::-1])),
+            "sure": K - 1 - int(np.argmin(g[::-1])),
+        }
+        assert rec.draw_index == j
+        assert list(rec.outcomes) == list(cfg.rules)
+        for rule, k in picks.items():
+            assert rec.outcomes[rule] == RuleOutcome(
+                float(vals[k]), float(err_l2[k]), float(err_l1[k]), k in (0, K - 1))
+        assert rec.sup_dev_psure == float(np.max(np.abs(p - mean_p)))
+        assert rec.sup_dev_gsure == float(np.max(np.abs(g - mean_g)))
+        assert rec.sup_loss_psure is None and rec.sup_loss_gsure is None
+
+
+def test_lasso_finite_checks_run_in_draw_order(problem16, monkeypatch):
+    # every draw is solved first; then draw by draw, psure before sure
+    vals = LASSO_GRID.values
+    poison = {}
+    calls = []
+
+    def poisoned(*args):
+        curves = lasso_risk_curves(*args)
+        for which, col in poison.get(len(calls), ()):
+            curves[which][col] = np.nan
+        calls.append(1)
+        return curves
+
+    monkeypatch.setattr(study, "lasso_risk_curves", poisoned)
+    cfg = lasso_config(n_draws=3)
+    for bad, rules, message in (
+        ({1: [(2, 7)], 2: [(1, 3)]}, cfg.rules,
+         f"estimation-risk estimate is not finite at draw 1, alpha={vals[7]!r}"),
+        ({1: [(2, 7), (1, 9)]}, cfg.rules,
+         f"prediction-risk estimate is not finite at draw 1, alpha={vals[9]!r}"),
+        ({1: [(2, 7)], 2: [(1, 3)]}, ("dp", "psure"),
+         f"prediction-risk estimate is not finite at draw 2, alpha={vals[3]!r}"),
+    ):
+        poison, calls[:] = bad, []
+        with pytest.raises(NumericError, match=re.escape(message)):
+            run_study(dataclasses.replace(cfg, rules=rules), problem=problem16)
+        assert len(calls) == cfg.n_draws
 
 
 # rate fits
