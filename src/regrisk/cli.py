@@ -6,19 +6,27 @@ comparison demo, and offline recomputation of statistics from a records
 file. Every run writes a manifest recording the resolved configuration,
 the seed, the problem hash and the produced files.
 
-Option values resolve with CLI flags taking precedence over the
-optional config file, which takes precedence over built-in defaults.
-Config files are flat "key = value" lines with # comments.
+Each subcommand declares its options in one table. A row gives the
+option's name, the converter that parses and checks its text, its
+default and its help; the flag is "--" plus the name with dashes, and
+the config-file key is the name itself. Option values resolve with CLI
+flags taking precedence over the optional config file, which takes
+precedence over the defaults. Config files are flat "key = value" lines
+with # comments. A rejected configuration or an unreadable input file
+is a usage error (exit status 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,26 +69,25 @@ from .study import (
 
 DEFAULT_SEED = 20240817
 
-EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _as_int(s):
-    return int(str(s).strip())
+# option tables
 
 
-def _as_float(s):
-    return float(str(s).strip())
+class _Opt(NamedTuple):
+    dest: str
+    conv: Callable  # parses and checks the text of a flag or config value
+    default: object
+    help: str
+    switch: bool = False  # a bare flag that turns the option on
 
 
-def _as_str(s):
-    return str(s).strip()
+_REQUIRED = object()  # default of an option that must be given
 
 
 def _as_bool(s):
-    if isinstance(s, bool):
-        return s
-    v = str(s).strip().lower()
+    v = s.strip().lower()
     if v in ("1", "true", "yes", "on"):
         return True
     if v in ("0", "false", "no", "off"):
@@ -89,23 +96,109 @@ def _as_bool(s):
 
 
 def _as_int_list(s):
-    if isinstance(s, (list, tuple)):
-        return [int(v) for v in s]
-    parts = [p.strip() for p in str(s).split(",") if p.strip()]
+    parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty list")
     return [int(p) for p in parts]
 
 
 def _as_rules(s):
-    if isinstance(s, (list, tuple)):
-        rules = tuple(s)
-    else:
-        rules = tuple(p.strip() for p in str(s).split(",") if p.strip())
-    unknown = set(rules) - set(KNOWN_RULES)
-    if unknown:
-        raise ValueError(f"unknown rules {sorted(unknown)}")
-    return rules
+    return tuple(p.strip() for p in s.split(",") if p.strip())
+
+
+def _one_of(*choices):
+    def conv(s):
+        if s not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return s
+
+    return conv
+
+
+def _problem_opts(default, sigma, note=""):
+    return [
+        _Opt("m", int, default, "number of measurements" + note),
+        _Opt("n", int, default, "number of unknowns" + note),
+        _Opt("l", float, default, "kernel half width, in (0, 1/2]" + note),
+        _Opt("sigma", float, sigma, "noise standard deviation" + note),
+    ]
+
+
+def _grid_opts(grid):
+    return [
+        _Opt("grid_log_min", float, grid.log10_min, "log10 of the smallest penalty"),
+        _Opt("grid_log_max", float, grid.log10_max,
+             "log10 of the largest finite penalty"),
+        _Opt("grid_step", float, grid.step, "log10 spacing of the penalties"),
+        _Opt("grid_infinity", _as_bool, grid.includes_infinity,
+             "close the grid by an infinite penalty"),
+    ]
+
+
+_OUT_DIR = _Opt("out", str, ".", "output directory, created if missing")
+_SEED = _Opt("seed", int, DEFAULT_SEED, "master seed of the noise draws")
+_WORKERS = _Opt("workers", int, 1, "worker threads")
+
+
+def _study_opts(grid, metric):
+    return _problem_opts(None, None, " (default: taken from --problem)") + [
+        _Opt("problem", str, None, "stored problem.npz to use instead of building one"),
+        _Opt("draws", int, 100, "number of noise draws"),
+        _SEED,
+        _Opt("rules", _as_rules, KNOWN_RULES, "comma separated subset of the rules"),
+        _Opt("metric", _one_of(*ORACLE_METRICS), metric,
+             "error the oracle rule minimizes: " + ", ".join(ORACLE_METRICS)),
+        _WORKERS,
+        _Opt("track_loss", _as_bool, False,
+             "also record sup distances between scaled estimates and losses",
+             switch=True),
+        _OUT_DIR,
+    ] + _grid_opts(grid)
+
+
+_ADMM = AdmmParams()
+
+_BUILD_OPTS = _problem_opts(_REQUIRED, 0.1) + [_OUT_DIR]
+_STUDY_OPTS = _study_opts(default_quadratic_grid(), "l2_estimation")
+_LASSO_OPTS = _study_opts(default_lasso_grid(), "l1") + [
+    _Opt("rho", float, _ADMM.rho, "initial splitting weight of the solver"),
+    _Opt("tol", float, _ADMM.tol, "solver stopping tolerance"),
+    _Opt("max_iter", int, _ADMM.max_iter, "solver iteration cap"),
+]
+_RATE_OPTS = [
+    _Opt("sizes", _as_int_list, [16, 32, 64, 128, 256, 512],
+         "comma separated problem sizes m = n"),
+    _Opt("l", float, 0.06, "kernel half width, in (0, 1/2]"),
+    _Opt("sigma", float, 0.1, "noise standard deviation"),
+    _Opt("draws", int, 1000, "noise draws per size"),
+    _SEED,
+    _WORKERS,
+    _OUT_DIR,
+]
+_DEMO_OPTS = _problem_opts(_REQUIRED, 0.1) + [
+    _SEED,
+    _Opt("regularizer", _one_of("quadratic", "lasso"), "quadratic",
+         "penalty: quadratic or lasso"),
+    _OUT_DIR,
+]
+_STATS_OPTS = [
+    _Opt("records", str, _REQUIRED, "records.csv produced by a study run"),
+    _Opt("metric", _one_of("l2", "l1"), "l2", "error norm: l2 or l1"),
+    _Opt("out", str, None, "also write the report to this JSON file"),
+]
+
+
+def _help(opt):
+    if opt.default is _REQUIRED:
+        return opt.help + " (required)"
+    if opt.default is None:
+        return opt.help
+    d = opt.default
+    if isinstance(d, bool):
+        d = "on" if d else "off"
+    elif isinstance(d, (list, tuple)):
+        d = ",".join(map(str, d))
+    return f"{opt.help} (default: {d})"
 
 
 def load_config_file(path) -> dict:
@@ -123,36 +216,39 @@ def load_config_file(path) -> dict:
     return values
 
 
+@contextlib.contextmanager
+def _usage_errors(parser):
+    """Report a rejected configuration or unreadable input as a usage
+    error."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+
+
 def _resolve(parsed, table, parser):
     """Merge CLI values, config-file values and defaults, in that order."""
     file_values = {}
-    cfg_path = getattr(parsed, "config", None)
-    if cfg_path:
-        try:
-            file_values = load_config_file(cfg_path)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-    out = {}
-    for dest, conv, default, required in table:
-        value = getattr(parsed, dest, None)
-        if value is None and dest in file_values:
-            try:
-                value = conv(file_values[dest])
-            except ValueError as exc:
-                parser.error(f"config value for {dest}: {exc}")
-        elif value is not None and conv is not None:
-            try:
-                value = conv(value)
-            except ValueError as exc:
-                parser.error(f"invalid value for {dest}: {exc}")
-        if value is None:
-            value = default
-        if value is None and required:
-            parser.error(f"missing required option: {dest}")
-        out[dest] = value
-    unknown = set(file_values) - {row[0] for row in table}
+    if parsed.config:
+        with _usage_errors(parser):
+            file_values = load_config_file(parsed.config)
+    unknown = set(file_values) - {opt.dest for opt in table}
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
+    out = {}
+    for opt in table:
+        text = getattr(parsed, opt.dest)
+        if text is None:
+            text = file_values.get(opt.dest)
+        if text is None:
+            if opt.default is _REQUIRED:
+                parser.error(f"missing required option: {opt.dest}")
+            out[opt.dest] = opt.default
+            continue
+        try:
+            out[opt.dest] = opt.conv(text)
+        except ValueError as exc:
+            parser.error(f"invalid value {text!r} for {opt.dest}: {exc}")
     return out
 
 
@@ -181,36 +277,6 @@ def _write_manifest(out_dir, command, config, outputs, started,
     return path
 
 
-def _grid_from(cfg, default_grid, allow_infinity=True):
-    grid_args = (cfg["grid_log_min"], cfg["grid_log_max"], cfg["grid_step"])
-    if all(v is None for v in grid_args) and cfg.get("grid_infinity") is None:
-        return default_grid
-    lo = cfg["grid_log_min"] if cfg["grid_log_min"] is not None else default_grid.log10_min
-    hi = cfg["grid_log_max"] if cfg["grid_log_max"] is not None else default_grid.log10_max
-    step = cfg["grid_step"] if cfg["grid_step"] is not None else default_grid.step
-    inf = cfg.get("grid_infinity")
-    if inf is None:
-        inf = default_grid.includes_infinity and allow_infinity
-    return AlphaGrid(lo, hi, step, includes_infinity=bool(inf))
-
-
-_GRID_TABLE = [
-    ("grid_log_min", _as_float, None, False),
-    ("grid_log_max", _as_float, None, False),
-    ("grid_step", _as_float, None, False),
-    ("grid_infinity", _as_bool, None, False),
-]
-
-
-def _add_grid_options(sub):
-    sub.add_argument("--grid-log-min", dest="grid_log_min", type=float)
-    sub.add_argument("--grid-log-max", dest="grid_log_max", type=float)
-    sub.add_argument("--grid-step", dest="grid_step", type=float)
-    sub.add_argument(
-        "--grid-infinity", dest="grid_infinity", choices=("0", "1"), default=None
-    )
-
-
 def _load_or_build_problem(cfg, parser):
     if cfg.get("problem"):
         problem = load_problem(cfg["problem"])
@@ -232,19 +298,12 @@ def _load_or_build_problem(cfg, parser):
 # subcommand implementations
 
 
-def _cmd_build_problem(parsed, parser):
-    table = [
-        ("m", _as_int, None, True),
-        ("n", _as_int, None, True),
-        ("l", _as_float, None, True),
-        ("sigma", _as_float, 0.1, False),
-        ("out", _as_str, ".", False),
-    ]
-    cfg = _resolve(parsed, table, parser)
+def _cmd_build_problem(cfg, parser):
     started = time.time()
-    problem = build_problem(cfg["m"], cfg["n"], cfg["l"], cfg["sigma"])
+    with _usage_errors(parser):
+        problem = build_problem(cfg["m"], cfg["n"], cfg["l"], cfg["sigma"])
+        out = _out_dir(cfg)
     dec = decompose(problem.A)
-    out = _out_dir(cfg)
     problem_path = f"{out}/problem.npz"
     spectrum_path = f"{out}/spectrum.npz"
     save_problem(problem, problem_path)
@@ -269,52 +328,32 @@ def _cmd_build_problem(parsed, parser):
     return 0
 
 
-_STUDY_TABLE = [
-    ("m", _as_int, None, False),
-    ("n", _as_int, None, False),
-    ("l", _as_float, None, False),
-    ("sigma", _as_float, None, False),
-    ("draws", _as_int, 100, False),
-    ("seed", _as_int, DEFAULT_SEED, False),
-    ("rules", _as_rules, KNOWN_RULES, False),
-    ("metric", _as_str, None, False),
-    ("workers", _as_int, 1, False),
-    ("problem", _as_str, None, False),
-    ("out", _as_str, ".", False),
-    ("track_loss", _as_bool, False, False),
-] + _GRID_TABLE
-
-
-def _run_and_export(cfg, parser, regularizer, default_grid, default_metric,
-                    admm=None, command="run-study"):
-    metric = cfg["metric"] if cfg["metric"] is not None else default_metric
-    if metric not in ORACLE_METRICS:
-        parser.error(f"unknown metric {metric!r}")
+def _run_and_export(cfg, parser, regularizer, command):
     started = time.time()
-    problem, m, n, l, sigma = _load_or_build_problem(cfg, parser)
-    try:
+    with _usage_errors(parser):
+        problem, m, n, l, sigma = _load_or_build_problem(cfg, parser)
         config = StudyConfig(
             m=m,
             n=n,
             l=l,
             sigma=sigma,
-            grid=_grid_from(
-                cfg, default_grid, allow_infinity=regularizer == "quadratic"),
+            grid=AlphaGrid(cfg["grid_log_min"], cfg["grid_log_max"], cfg["grid_step"],
+                           includes_infinity=cfg["grid_infinity"]),
             n_draws=cfg["draws"],
             master_seed=cfg["seed"],
             rules=cfg["rules"],
             regularizer=regularizer,
-            metric=metric,
-            track_loss_closeness=bool(cfg["track_loss"]),
-            admm=admm,
+            metric=cfg["metric"],
+            track_loss_closeness=cfg["track_loss"],
+            admm=(AdmmParams(rho=cfg["rho"], tol=cfg["tol"],
+                             max_iter=cfg["max_iter"])
+                  if regularizer == "lasso" else None),
         )
-    except ValueError as exc:
-        parser.error(str(exc))
+        out = _out_dir(cfg)
     extras = {}
     records = run_study(
         config, problem=problem, workers=cfg["workers"], extras=extras
     )
-    out = _out_dir(cfg)
     records_path = f"{out}/records.csv"
     summary_path = f"{out}/summary.json"
     write_records_csv(records, config.rules, records_path)
@@ -356,71 +395,42 @@ def _run_and_export(cfg, parser, regularizer, default_grid, default_metric,
     return 0
 
 
-def _cmd_run_study(parsed, parser):
-    cfg = _resolve(parsed, _STUDY_TABLE, parser)
-    return _run_and_export(
-        cfg, parser, "quadratic", default_quadratic_grid(), "l2_estimation"
-    )
+def _cmd_run_study(cfg, parser):
+    return _run_and_export(cfg, parser, "quadratic", "run-study")
 
 
-_LASSO_TABLE = _STUDY_TABLE + [
-    ("rho", _as_float, 1.0, False),
-    ("tol", _as_float, 1e-14, False),
-    ("max_iter", _as_int, 10_000, False),
-]
+def _cmd_lasso_study(cfg, parser):
+    return _run_and_export(cfg, parser, "lasso", "lasso-study")
 
 
-def _cmd_lasso_study(parsed, parser):
-    cfg = _resolve(parsed, _LASSO_TABLE, parser)
-    try:
-        admm = AdmmParams(rho=cfg["rho"], tol=cfg["tol"], max_iter=cfg["max_iter"])
-    except ValueError as exc:
-        parser.error(str(exc))
-    return _run_and_export(
-        cfg, parser, "lasso", default_lasso_grid(), "l1", admm=admm,
-        command="lasso-study",
-    )
-
-
-_RATE_TABLE = [
-    ("sizes", _as_int_list, [16, 32, 64, 128, 256, 512], False),
-    ("l", _as_float, 0.06, False),
-    ("sigma", _as_float, 0.1, False),
-    ("draws", _as_int, 1000, False),
-    ("seed", _as_int, DEFAULT_SEED, False),
-    ("workers", _as_int, 1, False),
-    ("out", _as_str, ".", False),
-]
-
-
-def _cmd_rate_check(parsed, parser):
-    cfg = _resolve(parsed, _RATE_TABLE, parser)
+def _cmd_rate_check(cfg, parser):
     started = time.time()
+    with _usage_errors(parser):
+        out = _out_dir(cfg)
     per_size = []
     for m in cfg["sizes"]:
-        problem = build_problem(m, m, cfg["l"], cfg["sigma"])
+        with _usage_errors(parser):
+            problem = build_problem(m, m, cfg["l"], cfg["sigma"])
+            config = StudyConfig(
+                m=m,
+                n=m,
+                l=cfg["l"],
+                sigma=cfg["sigma"],
+                grid=default_quadratic_grid(),
+                n_draws=cfg["draws"],
+                master_seed=cfg["seed"] + m,
+                rules=("psure",),
+            )
         dec = decompose(problem.A)
-        config = StudyConfig(
-            m=m,
-            n=m,
-            l=cfg["l"],
-            sigma=cfg["sigma"],
-            grid=default_quadratic_grid(),
-            n_draws=cfg["draws"],
-            master_seed=cfg["seed"] + m,
-            rules=("psure",),
-        )
         records = run_study(
             config, problem=problem, dec=dec, workers=cfg["workers"]
         )
-        per_size.append(
-            {
-                "m": m,
-                "cond": dec.cond,
-                "mean_sup_psure": mean_sup_deviation(records, "psure"),
-                "mean_sup_gsure": mean_sup_deviation(records, "gsure"),
-            }
-        )
+        per_size.append({
+            "m": m,
+            "cond": dec.cond,
+            "mean_sup_psure": mean_sup_deviation(records, "psure"),
+            "mean_sup_gsure": mean_sup_deviation(records, "gsure"),
+        })
         print(
             f"m={m}: cond={dec.cond:.5g} "
             f"mean_sup_psure={per_size[-1]['mean_sup_psure']:.6g} "
@@ -438,33 +448,16 @@ def _cmd_rate_check(parsed, parser):
             f"{name}: slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
             f"points={fit.n_points}"
         )
-    out = _out_dir(cfg)
     report_path = f"{out}/rate_check.json"
     report = {
         "schema_version": SCHEMA_VERSION,
         "per_size": per_size,
-        "fits": {
-            k: {"slope": f.slope, "intercept": f.intercept, "n_points": f.n_points}
-            for k, f in fits.items()
-        },
+        "fits": {k: dataclasses.asdict(f) for k, f in fits.items()},
     }
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_summary_json(report, report_path)
     manifest = _write_manifest(out, "rate-check", cfg, [report_path], started)
     print(f"wrote {report_path}, {manifest}")
     return 0
-
-
-_DEMO_TABLE = [
-    ("m", _as_int, None, True),
-    ("n", _as_int, None, True),
-    ("l", _as_float, None, True),
-    ("sigma", _as_float, 0.1, False),
-    ("seed", _as_int, DEFAULT_SEED, False),
-    ("regularizer", _as_str, "quadratic", False),
-    ("out", _as_str, ".", False),
-]
 
 
 def _demo_pick(out_rows, kind, alphas, estimates, errors):
@@ -514,12 +507,11 @@ def _demo_lasso(problem, y, out_rows):
     return alpha_dp, lin, log
 
 
-def _cmd_grid_demo(parsed, parser):
-    cfg = _resolve(parsed, _DEMO_TABLE, parser)
-    if cfg["regularizer"] not in ("quadratic", "lasso"):
-        parser.error(f"unknown regularizer {cfg['regularizer']!r}")
+def _cmd_grid_demo(cfg, parser):
     started = time.time()
-    problem = build_problem(cfg["m"], cfg["n"], cfg["l"], cfg["sigma"])
+    with _usage_errors(parser):
+        problem = build_problem(cfg["m"], cfg["n"], cfg["l"], cfg["sigma"])
+        out = _out_dir(cfg)
     rng = np.random.default_rng(cfg["seed"])
     y = problem.A @ problem.x_star + cfg["sigma"] * rng.standard_normal(cfg["m"])
     draw_hash = hashlib.sha256(np.ascontiguousarray(y).tobytes()).hexdigest()
@@ -530,7 +522,6 @@ def _cmd_grid_demo(parsed, parser):
     else:
         alpha_dp, lin, log = _demo_lasso(problem, y, rows)
 
-    out = _out_dir(cfg)
     csv_path = f"{out}/grid_demo.csv"
     with open(csv_path, "w") as fh:
         fh.write("grid_kind,alpha,estimate,error_l2\n")
@@ -540,26 +531,15 @@ def _cmd_grid_demo(parsed, parser):
         "schema_version": SCHEMA_VERSION,
         "regularizer": cfg["regularizer"],
         "dp_alpha": alpha_dp,
-        "linear": {
-            "alpha_hat": lin[0],
-            "error_l2": lin[1],
-            "estimate": lin[2],
-            "draw_hash": draw_hash,
-        },
-        "log": {
-            "alpha_hat": log[0],
-            "error_l2": log[1],
-            "estimate": log[2],
-            "draw_hash": draw_hash,
-        },
+        **{kind: {"alpha_hat": a, "error_l2": e, "estimate": v,
+                  "draw_hash": draw_hash}
+           for kind, (a, e, v) in (("linear", lin), ("log", log))},
         "alpha_ratio_linear_over_log": (
             lin[0] / log[0] if log[0] > 0 else float("inf")
         ),
     }
     json_path = f"{out}/grid_demo.json"
-    with open(json_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_summary_json(report, json_path)
     manifest = _write_manifest(
         out, "grid-demo", cfg, [csv_path, json_path], started
     )
@@ -571,18 +551,9 @@ def _cmd_grid_demo(parsed, parser):
     return 0
 
 
-_STATS_TABLE = [
-    ("records", _as_str, None, True),
-    ("metric", _as_str, "l2", False),
-    ("out", _as_str, None, False),
-]
-
-
-def _cmd_stats(parsed, parser):
-    cfg = _resolve(parsed, _STATS_TABLE, parser)
-    if cfg["metric"] not in ("l2", "l1"):
-        parser.error(f"unknown error metric {cfg['metric']!r}")
-    records, rules = read_records_csv(cfg["records"])
+def _cmd_stats(cfg, parser):
+    with _usage_errors(parser):
+        records, rules = read_records_csv(cfg["records"])
     if not records:
         parser.error(f"no rows in {cfg['records']}")
     report = _rule_stats(records, rules, cfg["metric"])
@@ -595,6 +566,22 @@ def _cmd_stats(parsed, parser):
     return 0
 
 
+_COMMANDS = {  # name: (implementation, option table, help)
+    "build-problem": (_cmd_build_problem, _BUILD_OPTS,
+                      "construct and store a test problem"),
+    "run-study": (_cmd_run_study, _STUDY_OPTS,
+                  "repeated-draw study, quadratic penalty"),
+    "lasso-study": (_cmd_lasso_study, _LASSO_OPTS,
+                    "repeated-draw study, l1 penalty"),
+    "rate-check": (_cmd_rate_check, _RATE_OPTS,
+                   "deviation rate fits across sizes"),
+    "grid-demo": (_cmd_grid_demo, _DEMO_OPTS,
+                  "single-draw comparison of linear and log grids"),
+    "stats": (_cmd_stats, _STATS_OPTS,
+              "recompute statistics from a records file"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regrisk",
@@ -605,85 +592,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def common(sub):
-        sub.add_argument("--config", help="flat key = value config file")
-        sub.add_argument("--out", help="output directory (default: .)")
-
-    sp = subs.add_parser("build-problem", help="construct and store a test problem")
-    common(sp)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--l", type=float, help="kernel half width")
-    sp.add_argument("--sigma", type=float)
-    sp.set_defaults(func=_cmd_build_problem)
-
-    def study_opts(sub):
-        common(sub)
-        sub.add_argument("--m", type=int)
-        sub.add_argument("--n", type=int)
-        sub.add_argument("--l", type=float)
-        sub.add_argument("--sigma", type=float)
-        sub.add_argument("--draws", type=int)
-        sub.add_argument("--seed", type=int)
-        sub.add_argument("--rules", help="comma separated subset of "
-                         + ",".join(KNOWN_RULES))
-        sub.add_argument("--metric", choices=ORACLE_METRICS)
-        sub.add_argument("--workers", type=int)
-        sub.add_argument("--problem", help="load a stored problem instead of building")
-        sub.add_argument(
-            "--track-loss", dest="track_loss", action="store_const", const=True,
-            help="also record sup distances between scaled estimates and losses",
+    for name, (func, table, text) in _COMMANDS.items():
+        sp = subs.add_parser(name, help=text, description=text)
+        sp.add_argument(
+            "--config",
+            help="flat key = value file; a key is an option's name with "
+            "underscores, e.g. grid_step = 0.05 for --grid-step 0.05",
         )
-        _add_grid_options(sub)
-
-    sp = subs.add_parser("run-study", help="repeated-draw study, quadratic penalty")
-    study_opts(sp)
-    sp.set_defaults(func=_cmd_run_study)
-
-    sp = subs.add_parser("lasso-study", help="repeated-draw study, l1 penalty")
-    study_opts(sp)
-    sp.add_argument("--rho", type=float, help="initial splitting weight")
-    sp.add_argument("--tol", type=float, help="solver stopping tolerance")
-    sp.add_argument("--max-iter", dest="max_iter", type=int)
-    sp.set_defaults(func=_cmd_lasso_study)
-
-    sp = subs.add_parser("rate-check", help="deviation rate fits across sizes")
-    common(sp)
-    sp.add_argument("--sizes", help="comma separated problem sizes")
-    sp.add_argument("--l", type=float)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--draws", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--workers", type=int)
-    sp.set_defaults(func=_cmd_rate_check)
-
-    sp = subs.add_parser(
-        "grid-demo", help="single-draw comparison of linear and log grids"
-    )
-    common(sp)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--l", type=float)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--regularizer", choices=("quadratic", "lasso"))
-    sp.set_defaults(func=_cmd_grid_demo)
-
-    sp = subs.add_parser("stats", help="recompute statistics from a records file")
-    common(sp)
-    sp.add_argument("--records", help="records.csv produced by a study run")
-    sp.add_argument("--metric", choices=("l2", "l1"))
-    sp.set_defaults(func=_cmd_stats)
-
+        for opt in table:
+            kwargs = {"action": "store_const", "const": "on"} if opt.switch else {}
+            sp.add_argument("--" + opt.dest.replace("_", "-"), dest=opt.dest,
+                            help=_help(opt), **kwargs)
+        sp.set_defaults(func=func, table=table)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     parsed = parser.parse_args(argv)
+    cfg = _resolve(parsed, parsed.table, parser)
     try:
-        return parsed.func(parsed, parser)
+        return parsed.func(cfg, parser)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -161,8 +161,12 @@ def admm_all_at_once(A, y, grid, params: AdmmParams | None = None,
         with np.errstate(over="ignore"):
             rn = np.linalg.norm(R, axis=0)
             sn = np.linalg.norm(S, axis=0)
-        if not np.isfinite(rn.sum() + sn.sum()):
-            raise NumericError(f"iterates diverged at iteration {k + 1}")
+        bad = ~(np.isfinite(rn) & np.isfinite(sn))
+        if bad.any():
+            exc = NumericError(
+                f"iterates diverged or their norms overflowed at iteration {k + 1}")
+            exc.column = int(np.argmax(bad))
+            raise exc
         if adapt_rho:
             if int(np.sum(rn > p.mu * sn)) * 2 > n_alpha:
                 U = U / p.tau
@@ -202,74 +206,24 @@ def admm_per_alpha(A, y, grid, params: AdmmParams | None = None,
     demonstrate the inconsistencies across the grid that the shared
     all-at-once trajectory avoids.
     """
-    p = params if params is not None else AdmmParams()
+    p = dataclasses.replace(
+        params if params is not None else AdmmParams(), max_iter=n_iter)
     alphas = _as_alpha_array(grid)
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    m, n = A.shape
-    if y.shape != (m,):
-        raise ValueError(f"y has shape {y.shape}, expected ({m},)")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
-        raise ValueError("operator and data must be finite")
-
-    AtA = A.T @ A
-    Aty = A.T @ y
-    sqrt_n = np.sqrt(n)
-    n_alpha = alphas.size
-    Z_all = np.zeros((n, n_alpha))
-    X_all = np.zeros((n, n_alpha))
-    rn_all = np.zeros(n_alpha)
-    sn_all = np.zeros(n_alpha)
-    conv = np.zeros(n_alpha, dtype=bool)
-    iters_max = 0
-    rho_last = float(p.rho)
-
+    runs = []
     for j, alpha in enumerate(alphas):
-        rho = float(p.rho)
-        cho = sla.cho_factor(AtA + rho * np.eye(n))
-        x = np.zeros(n)
-        z = np.zeros(n)
-        u = np.zeros(n)
-        rnv = snv = np.inf
-        for k in range(n_iter):
-            x = sla.cho_solve(cho, Aty + rho * (z - u))
-            znew = soft_threshold(x + u, alpha / rho)
-            u = u + x - znew
-            rnv = float(np.linalg.norm(x - znew))
-            snv = float(np.linalg.norm(-rho * (znew - z)))
-            z = znew
-            if not np.isfinite(rnv + snv):
-                raise NumericError(
-                    f"iterates diverged at iteration {k + 1} (alpha={alpha})")
-            if rnv > p.mu * snv:
-                u = u / p.tau
-                rho = p.tau * rho
-                cho = sla.cho_factor(AtA + rho * np.eye(n))
-            elif snv > p.mu * rnv:
-                u = p.tau * u
-                rho = rho / p.tau
-                cho = sla.cho_factor(AtA + rho * np.eye(n))
-            ep = p.tol * (sqrt_n + max(np.linalg.norm(x), np.linalg.norm(z)))
-            ed = p.tol * (sqrt_n + rho * np.linalg.norm(u))
-            iters_max = max(iters_max, k + 1)
-            if rnv < ep and snv < ed:
-                conv[j] = True
-                break
-        Z_all[:, j] = z
-        X_all[:, j] = x
-        rn_all[j] = rnv
-        sn_all[j] = snv
-        rho_last = rho
-
+        try:
+            runs.append(admm_all_at_once(A, y, alphas[j:j + 1], p))
+        except NumericError as exc:
+            raise NumericError(f"{exc} (alpha={alpha})") from exc
     return LassoPath(
-        Z=Z_all,
-        X=X_all,
+        Z=np.hstack([run.Z for run in runs]),
+        X=np.hstack([run.X for run in runs]),
         alphas=alphas,
-        iterations_used=iters_max,
-        converged_flags=conv,
-        primal_residuals=rn_all,
-        dual_residuals=sn_all,
-        final_rho=rho_last,
+        iterations_used=max(run.iterations_used for run in runs),
+        converged_flags=np.concatenate([run.converged_flags for run in runs]),
+        primal_residuals=np.concatenate([run.primal_residuals for run in runs]),
+        dual_residuals=np.concatenate([run.dual_residuals for run in runs]),
+        final_rho=runs[-1].final_rho,
     )
 
 
@@ -355,7 +309,11 @@ def lasso_risk_curves(A, y, Z, sigma, aux: GsureAux):
         support = np.flatnonzero(Z[:, k])
         key = support.tobytes()
         if key not in gdf_by_support:
-            gdf_by_support[key] = lasso_gdf(A, support, projector=aux.projector)
+            try:
+                gdf_by_support[key] = lasso_gdf(A, support, projector=aux.projector)
+            except NumericError as exc:
+                exc.column = k
+                raise
         gdfv[k] = gdf_by_support[key]
     gsure = est2 - s2 * aux.trace_gram_pinv + 2.0 * s2 * gdfv
     return res2, psure, gsure

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import zipfile
 
 import numpy as np
 
@@ -215,7 +216,14 @@ def save_problem(inst: ProblemInstance, path) -> None:
 
 
 def load_problem(path) -> ProblemInstance:
-    with np.load(path) as data:
+    try:
+        archive = np.load(path)
+    except (EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is not a stored problem: {exc}") from exc
+    with archive as data:
+        missing = {"dims", "params", "A", "x_star"} - set(data.files)
+        if missing:
+            raise ValueError(f"{path} is not a stored problem: no {sorted(missing)}")
         m, n = (int(v) for v in data["dims"])
         l, sigma = (float(v) for v in data["params"])
         return ProblemInstance(

@@ -87,6 +87,13 @@ def check_alpha(alpha) -> float:
     return a
 
 
+def _leads_negative(col) -> bool:
+    """Whether the first entry of col above 1e-12 in magnitude (the first
+    entry when there is none) is negative."""
+    nz = np.flatnonzero(np.abs(col) > 1e-12)
+    return col[nz[0] if nz.size else 0] < 0
+
+
 def decompose(A, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
     """Full SVD with a deterministic sign convention and effective rank.
 
@@ -108,19 +115,13 @@ def decompose(A, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
     V = np.ascontiguousarray(Vt.T)
     q = s.size
     for i in range(U.shape[1]):
-        col = U[:, i]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        lead = nz[0] if nz.size else 0
-        if col[lead] < 0:
-            U[:, i] = -col
+        if _leads_negative(U[:, i]):
+            U[:, i] = -U[:, i]
             if i < q:
                 V[:, i] = -V[:, i]
     for j in range(q, V.shape[1]):
-        col = V[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        lead = nz[0] if nz.size else 0
-        if col[lead] < 0:
-            V[:, j] = -col
+        if _leads_negative(V[:, j]):
+            V[:, j] = -V[:, j]
     if q > 0 and s[0] > 0:
         r = int(np.sum(s > rank_tol * s[0]))
     else:

@@ -1,5 +1,5 @@
-"""Simulation harness: repeated noise draws, rule selections, empirical
-distributions, sup-deviation statistics and log-log rate fits.
+"""Simulation harness: repeated noise draws, rule selections, error
+statistics, sup-deviation statistics and log-log rate fits.
 
 The quadratic path batches draws into fixed-size chunks and evaluates
 whole rule curves as matrix products against precomputed weight tables,
@@ -65,9 +65,6 @@ __all__ = [
     "StudyConfig",
     "RuleOutcome",
     "StudyRecord",
-    "HistogramSpec",
-    "HistogramResult",
-    "JointHistogram",
     "RateFit",
     "run_study",
     "sup_deviation",
@@ -75,10 +72,6 @@ __all__ = [
     "rate_check",
     "error_stats",
     "win_fraction",
-    "alpha_histogram_spec",
-    "log_error_histogram_spec",
-    "histogram",
-    "joint_histogram",
     "loss_closeness_stats",
     "write_records_csv",
     "read_records_csv",
@@ -506,27 +499,36 @@ def _run_lasso(cfg, problem, dec, extras):
     sum_gsure = np.zeros(len(grid))
     picks = {rule: [] for rule in cfg.rules}  # per draw: (index, l2, l1 error)
     unconverged = 0
-    for k in range(n_draws):
-        y = ax_star + eps[:, k]
-        path = admm_all_at_once(A, y, vals, params)
-        unconverged += not np.all(path.converged_flags)
-        res2, psure_rows[k], gsure_rows[k] = lasso_risk_curves(
-            A, y, path.Z, sigma, aux)
-        sum_psure += psure_rows[k]
-        sum_gsure += gsure_rows[k]
+    # extreme inputs may overflow the curves; the finite checks below turn
+    # any inf/nan into a NumericError naming draw and alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_draws):
+            y = ax_star + eps[:, k]
+            try:
+                path = admm_all_at_once(A, y, vals, params)
+                res2, psure_rows[k], gsure_rows[k] = lasso_risk_curves(
+                    A, y, path.Z, sigma, aux)
+            except NumericError as exc:
+                where = f"draw {k}"
+                if exc.column is not None:
+                    where += f", alpha={vals[exc.column]!r}"
+                raise NumericError(f"{exc} at {where}") from exc
+            unconverged += not np.all(path.converged_flags)
+            sum_psure += psure_rows[k]
+            sum_gsure += gsure_rows[k]
 
-        diff = x_star[:, None] - path.Z
-        err_l2 = np.sqrt(np.einsum("ij,ij->j", diff, diff))
-        err_l1 = np.sum(np.abs(diff), axis=0)
-        curves = {"psure": psure_rows[k], "sure": gsure_rows[k],
-                  "oracle": err_l1 if cfg.metric == "l1" else err_l2}
-        if cfg.metric == "l2_prediction":
-            pr = ax_star[:, None] - A @ path.Z
-            curves["oracle"] = np.sqrt(np.einsum("ij,ij->j", pr, pr))
-        for rule, got in picks.items():
-            i = (lasso_dp_index(res2, cfg.m, sigma) if rule == "dp"
-                 else _argmin_larger(curves[rule]))
-            got.append((i, err_l2[i], err_l1[i]))
+            diff = x_star[:, None] - path.Z
+            err_l2 = np.sqrt(np.einsum("ij,ij->j", diff, diff))
+            err_l1 = np.sum(np.abs(diff), axis=0)
+            curves = {"psure": psure_rows[k], "sure": gsure_rows[k],
+                      "oracle": err_l1 if cfg.metric == "l1" else err_l2}
+            if cfg.metric == "l2_prediction":
+                pr = ax_star[:, None] - A @ path.Z
+                curves["oracle"] = np.sqrt(np.einsum("ij,ij->j", pr, pr))
+            for rule, got in picks.items():
+                i = (lasso_dp_index(res2, cfg.m, sigma) if rule == "dp"
+                     else _argmin_larger(curves[rule]))
+                got.append((i, err_l2[i], err_l1[i]))
 
     for k in range(n_draws):
         for rule, rows, name in (("psure", psure_rows, "prediction-risk estimate"),
@@ -669,125 +671,6 @@ def win_fraction(records, rule_a, rule_b, metric="l2") -> float:
     return float((np.sum(a < b) + 0.5 * np.sum(a == b)) / a.size)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class HistogramSpec:
-    """Bin layout for one histogram axis.
-
-    axis 'alpha' bins log10 of the selected strengths on the grid
-    lattice; 'log10_error' bins log10 of the errors. zero_count_floor is
-    the display value substituted for empty bins on export; stored
-    counts are never altered.
-    """
-
-    axis: str
-    edges: np.ndarray
-    zero_count_floor: float
-
-
-@dataclasses.dataclass(eq=False)
-class HistogramResult:
-    spec: HistogramSpec
-    counts: np.ndarray
-    probs: np.ndarray
-    floored_probs: np.ndarray
-    n_records: int
-    n_infinite: int
-
-
-def alpha_histogram_spec(grid: AlphaGrid, n_draws: int) -> HistogramSpec:
-    lattice = grid.log10_min + grid.step * np.arange(grid.n_finite)
-    edges = np.concatenate(
-        [lattice - 0.5 * grid.step, [lattice[-1] + 0.5 * grid.step]]
-    )
-    return HistogramSpec("alpha", edges, 0.5 / n_draws)
-
-
-def log_error_histogram_spec(records, rule, n_bins: int = 200,
-                             metric="l2") -> HistogramSpec:
-    errs = _errors_for(records, rule, metric)
-    logs = np.log10(errs[errs > 0])
-    if logs.size == 0:
-        raise ValueError("no positive errors to bin")
-    lo = float(np.min(logs))
-    hi = float(np.max(logs))
-    if hi <= lo:
-        hi = lo + 1.0
-    return HistogramSpec(
-        "log10_error", np.linspace(lo, hi, n_bins + 1), 0.5 / len(records)
-    )
-
-
-def histogram(records, rule, spec: HistogramSpec, metric="l2") -> HistogramResult:
-    """Empirical distribution of one rule's selections or errors.
-
-    Probabilities are counts over the number of records; infinite
-    selections are tallied separately (n_infinite) so the total mass
-    including them is 1 whenever the edges cover the finite data.
-    """
-    if spec.axis == "alpha":
-        raw = np.array([rec.outcomes[rule].alpha_hat for rec in records])
-        finite = raw[np.isfinite(raw)]
-        n_infinite = int(raw.size - finite.size)
-        data = np.log10(finite)
-    elif spec.axis == "log10_error":
-        errs = _errors_for(records, rule, metric)
-        n_infinite = 0
-        data = np.log10(errs[errs > 0])
-    else:
-        raise ValueError(f"unknown histogram axis {spec.axis!r}")
-    counts, _ = np.histogram(data, bins=spec.edges)
-    n = len(records)
-    probs = counts / n
-    floored = np.where(counts == 0, spec.zero_count_floor, probs)
-    return HistogramResult(
-        spec=spec,
-        counts=counts,
-        probs=probs,
-        floored_probs=floored,
-        n_records=n,
-        n_infinite=n_infinite,
-    )
-
-
-@dataclasses.dataclass(eq=False)
-class JointHistogram:
-    edges_a: np.ndarray
-    edges_b: np.ndarray
-    counts: np.ndarray
-    probs: np.ndarray
-    log10_floored: np.ndarray
-    floor: float
-
-
-def joint_histogram(records, rule_a, rule_b, n_bins: int = 60,
-                    metric="l2") -> JointHistogram:
-    """2-D empirical distribution of log10 errors for a pair of rules.
-
-    The exported array holds log10 of the probabilities with empty bins
-    floored at 1/(2N); stored counts stay untouched, and the marginals
-    of `counts` reproduce the matching 1-D histograms.
-    """
-    va = np.log10(_errors_for(records, rule_a, metric))
-    vb = np.log10(_errors_for(records, rule_b, metric))
-
-    def _edges(v):
-        lo, hi = float(np.min(v)), float(np.max(v))
-        if hi <= lo:
-            hi = lo + 1.0
-        return np.linspace(lo, hi, n_bins + 1)
-
-    ea, eb = _edges(va), _edges(vb)
-    counts, _, _ = np.histogram2d(va, vb, bins=[ea, eb])
-    n = len(records)
-    probs = counts / n
-    floor = 0.5 / n
-    log10_floored = np.log10(np.where(counts == 0, floor, probs))
-    return JointHistogram(
-        edges_a=ea, edges_b=eb, counts=counts, probs=probs,
-        log10_floored=log10_floored, floor=floor,
-    )
-
-
 def loss_closeness_stats(per_m, quantiles=(0.25, 0.5, 0.75)) -> dict:
     """Quantiles of the loss-tracking sup statistics against size.
 
@@ -867,10 +750,13 @@ def read_records_csv(path):
     """Inverse of write_records_csv; returns (records, rules)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         columns = dict.fromkeys(header, ())
         columns.update(zip(header, zip(*reader)))
     rules = [c[: -len("_alpha")] for c in header if c.endswith("_alpha")]
+    missing = set(_csv_columns(rules, False)) - set(header)
+    if missing:
+        raise ValueError(f"{path} is not a records file: no {sorted(missing)}")
 
     def floats(name):
         return [float(v) for v in columns[name]]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from regrisk import load_problem, read_records_csv
-from regrisk.cli import load_config_file, main
+from regrisk import cli
+from regrisk.cli import build_parser, load_config_file, main
 
 
 def run_cli(*args):
@@ -249,3 +250,102 @@ def test_version_and_unknown_rule(capsys):
         run_cli("run-study", "--m", 16, "--n", 16, "--l", 0.06,
                 "--rules", "dp,magic")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("build-problem", "--m", 16, "--n", 16, "--l", 0.7),
+    ("grid-demo", "--m", 16, "--n", 16, "--l", 0.06, "--sigma", -1),
+    ("rate-check", "--sizes", "4,8", "--draws", 2),
+    ("grid-demo", "--m", 4, "--n", 4, "--l", 0.06),
+    ("run-study", "--problem", "missing.npz"),
+    ("stats", "--records", "missing.csv"),
+    ("run-study", "--problem", "partial.npz"),
+    ("run-study", "--problem", "empty.csv"),
+    ("stats", "--records", "empty.csv"),
+    ("stats", "--records", "other.csv"),
+    ("run-study", "--m", 16, "--n", 16, "--l", 0.06, "--sigma", 0.1,
+     "--out", "empty.csv"),  # caught before the study runs
+], ids=["l-out-of-range", "negative-sigma", "sizes-too-small", "m-too-small",
+        "missing-problem", "missing-records", "not-a-problem", "empty-problem",
+        "empty-records", "not-records", "out-is-a-file"])
+def test_rejected_input_exits_with_usage_status(tmp_path, capsys, monkeypatch,
+                                                args):
+    monkeypatch.chdir(tmp_path)
+    np.savez("partial.npz", A=np.eye(3))
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "other.csv").write_text("draw_index,dp_alpha\n0,1.0\n")
+    inputs = set(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert set(tmp_path.iterdir()) == inputs
+
+
+# one valid text per option name
+OPTION_TEXTS = {
+    "m": "16", "n": "12", "l": "0.05", "sigma": "0.2", "problem": "p.npz",
+    "draws": "3", "seed": "7", "rules": "dp,sure", "metric": "l1",
+    "workers": "2", "track_loss": "on", "out": "elsewhere",
+    "grid_log_min": "-3", "grid_log_max": "1", "grid_step": "0.5",
+    "grid_infinity": "1", "rho": "2", "tol": "1e-9", "max_iter": "50",
+    "sizes": "8,16", "regularizer": "lasso", "records": "r.csv",
+}
+
+
+def resolved(argv):
+    parser = build_parser()
+    parsed = parser.parse_args(argv)
+    return cli._resolve(parsed, parsed.table, parser)
+
+
+@pytest.mark.parametrize("command", [
+    "build-problem", "run-study", "lasso-study", "rate-check", "grid-demo",
+    "stats",
+])
+def test_flag_and_config_key_resolve_alike(tmp_path, command):
+    table = cli._COMMANDS[command][1]
+    argv = [command]
+    for opt in table:
+        flag = "--" + opt.dest.replace("_", "-")
+        argv += [flag] if opt.switch else [flag, OPTION_TEXTS[opt.dest]]
+    cfg_file = tmp_path / "all.cfg"
+    cfg_file.write_text("".join(
+        f"{opt.dest} = {OPTION_TEXTS[opt.dest]}\n" for opt in table))
+    from_flags = resolved(argv)
+    from_file = resolved([command, "--config", str(cfg_file)])
+    assert from_flags == from_file
+    assert from_flags == {opt.dest: opt.conv(OPTION_TEXTS[opt.dest])
+                          for opt in table}
+
+
+@pytest.mark.parametrize("command, given, key, text", [
+    ("run-study", (), "metric", "bogus"),
+    ("lasso-study", (), "max_iter", "many"),
+    ("grid-demo", ("--m", "16", "--n", "16", "--l", "0.06"), "regularizer",
+     "ridge"),
+    ("stats", ("--records", "r.csv"), "metric", "l2_estimation"),
+    ("rate-check", (), "sizes", ","),
+    ("build-problem", ("--m", "16", "--n", "16"), "l", "wide"),
+])
+def test_invalid_value_exits_2_from_flag_and_file(tmp_path, capsys, command,
+                                                  given, key, text):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"{key} = {text}\n")
+    for argv in ([command, *given, "--" + key.replace("_", "-"), text],
+                 [command, *given, "--config", str(cfg_file)]):
+        with pytest.raises(SystemExit) as exc:
+            resolved(argv)
+        assert exc.value.code == 2
+        assert f"for {key}:" in capsys.readouterr().err
+
+
+def test_stats_help_names_a_json_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("stats", "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "output directory" not in text
+    assert "--out OUT also write the report to this JSON file" in text
+    assert "(default: l2)" in text

@@ -16,7 +16,6 @@ from regrisk import (
     StudyConfig,
     StudyRecord,
     admm_all_at_once,
-    alpha_histogram_spec,
     build_problem,
     decompose,
     default_quadratic_grid,
@@ -24,11 +23,8 @@ from regrisk import (
     dp_select,
     error_stats,
     gsure_select,
-    histogram,
-    joint_histogram,
     lasso_gsure_value,
     lasso_psure_value,
-    log_error_histogram_spec,
     loss_closeness_stats,
     loss_l_curve,
     loss_tilde_curve,
@@ -545,6 +541,28 @@ def test_lasso_finite_checks_run_in_draw_order(problem16, monkeypatch):
         assert len(calls) == cfg.n_draws
 
 
+def test_lasso_solver_failure_names_draw_and_alpha():
+    # data around 1e155 overflow the solver's residual norms at once
+    grid = AlphaGrid(-10.0, 10.0, 0.01)
+    cfg = lasso_config(m=8, n=8, sigma=1e155, grid=grid, n_draws=1)
+    with pytest.raises(NumericError, match=re.escape(
+            f"at iteration 1 at draw 0, alpha={grid.values[0]!r}")):
+        run_study(cfg)
+
+
+def test_lasso_gdf_failure_names_draw_and_alpha():
+    # m < n: small penalties leave more active columns than rank(A)
+    grid = AlphaGrid(-4.0, 1.0, 0.05)
+    cfg = lasso_config(m=8, n=12, grid=grid, admm=None, master_seed=20240817)
+    with pytest.raises(NumericError) as exc:
+        run_study(cfg)
+    match = re.search(r"are rank deficient at draw (\d+), alpha=(.+)$",
+                      str(exc.value))
+    assert match, str(exc.value)
+    alpha = float(re.sub(r"^np\.float64\((.*)\)$", r"\1", match.group(2)))
+    assert alpha in grid.values
+
+
 # rate fits
 
 
@@ -602,60 +620,6 @@ def test_error_stats_and_win_fraction():
     assert mean_sup_deviation(records, "psure") == pytest.approx(0.25)
     with pytest.raises(ValueError):
         mean_sup_deviation(records, "nope")
-
-
-def test_alpha_histogram_covers_grid_and_floors_zeros():
-    grid = AlphaGrid(-1.0, 1.0, 0.5, includes_infinity=True)
-    records = []
-    alphas = [0.1, 0.1, 1.0, 10.0, np.inf]
-    for i, a in enumerate(alphas):
-        records.append(StudyRecord(
-            draw_index=i,
-            outcomes={"dp": RuleOutcome(a, 1.0, 1.0, False)},
-            sup_dev_psure=0.0, sup_dev_gsure=0.0))
-    spec = alpha_histogram_spec(grid, len(records))
-    assert spec.edges.size == grid.n_finite + 1
-    result = histogram(records, "dp", spec)
-    assert result.n_infinite == 1
-    assert result.counts.sum() == 4
-    np.testing.assert_allclose(result.counts, [2, 0, 1, 0, 1])
-    assert result.probs.sum() + result.n_infinite / 5 == pytest.approx(1.0)
-    assert result.floored_probs[1] == pytest.approx(0.1)  # 1/(2*5)
-    assert result.floored_probs[0] == pytest.approx(0.4)
-
-
-def test_log_error_histogram_spec_bins():
-    records = [
-        _fake_record(0, 2.0, 1.0),
-        _fake_record(1, 1.0, 1.0),
-        _fake_record(2, 8.0, 3.0),
-    ]
-    spec = log_error_histogram_spec(records, "dp", n_bins=10)
-    assert spec.edges.size == 11
-    assert spec.edges[0] == pytest.approx(0.0)  # log10(1)
-    assert spec.edges[-1] == pytest.approx(np.log10(8.0))
-    result = histogram(records, "dp", spec)
-    assert result.counts.sum() == 3
-
-
-def test_joint_histogram_marginals_match():
-    rng = np.random.default_rng(5)
-    records = [
-        _fake_record(i, float(e1), float(e2))
-        for i, (e1, e2) in enumerate(
-            zip(rng.uniform(1, 9, 40), rng.uniform(1, 9, 40)))
-    ]
-    joint = joint_histogram(records, "dp", "psure", n_bins=8)
-    assert joint.counts.sum() == 40
-    va = np.log10([r.outcomes["dp"].error_l2 for r in records])
-    counts_a, _ = np.histogram(va, bins=joint.edges_a)
-    np.testing.assert_array_equal(joint.counts.sum(axis=1), counts_a)
-    # flooring only touches empty cells, and in log space
-    mask = joint.counts == 0
-    np.testing.assert_allclose(
-        joint.log10_floored[mask], np.log10(joint.floor))
-    np.testing.assert_allclose(
-        10.0 ** joint.log10_floored[~mask], joint.probs[~mask], rtol=1e-12)
 
 
 def test_loss_closeness_stats_layout():
