@@ -4,7 +4,9 @@ Subcommands cover problem construction, the repeated-draw studies for
 both regularizers, the deviation rate fits, a single-draw grid
 comparison demo, and offline recomputation of statistics from a records
 file. Every run writes a manifest recording the resolved configuration,
-the seed, the problem hash and the produced files.
+the seed, the problem hash and the produced files; an l1 study adds its
+solver telemetry (ADMM iterations and path kinks per draw, max and
+total, and the draws left unconverged).
 
 Each subcommand declares its options in one table. A row gives the
 option's name, the converter that parses and checks its text, its
@@ -259,7 +261,7 @@ def _out_dir(cfg) -> str:
 
 
 def _write_manifest(out_dir, command, config, outputs, started,
-                    problem_hash_value=None):
+                    problem_hash_value=None, **blocks):
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -269,6 +271,7 @@ def _write_manifest(out_dir, command, config, outputs, started,
         "started_unix": started,
         "finished_unix": time.time(),
         "outputs": outputs,
+        **blocks,
     }
     path = f"{out_dir}/manifest.json"
     with open(path, "w") as fh:
@@ -360,6 +363,7 @@ def _run_and_export(cfg, parser, regularizer, command):
     summary = summary_json(config, records, extras.get("problem_hash"))
     write_summary_json(summary, summary_path)
     outputs = [records_path, summary_path]
+    blocks = {}
     if regularizer == "lasso":
         curves_path = f"{out}/mean_curves.csv"
         with open(curves_path, "w") as fh:
@@ -377,9 +381,14 @@ def _run_and_export(cfg, parser, regularizer, command):
                 "iteration cap before the tolerance",
                 file=sys.stderr,
             )
+        blocks["solver"] = {
+            "unconverged_draws": extras["unconverged_draws"],
+            **{key: {"max": int(extras[key].max()), "total": int(extras[key].sum())}
+               for key in ("admm_iterations", "path_kinks")},
+        }
     manifest = _write_manifest(
         out, command, _config_dict(config), outputs, started,
-        extras.get("problem_hash"),
+        extras.get("problem_hash"), **blocks,
     )
     for rule in config.rules:
         st = summary["stats_l2"][rule]

@@ -12,11 +12,19 @@ Iteration layout per step k:
   Z   <- soft threshold of X + U at alpha_j / rho per column
   U   <- U + X - Z
   rho <- adapted by a majority vote over columns comparing primal and
-         dual residual norms; U is rescaled with it and the
-         factorization is rebuilt.
+         dual residual norms; U is rescaled with it. Rho only moves by
+         factors of tau, so its values repeat: each factorization is
+         built once per rho value and kept.
 Stopping requires every column's primal and dual residual to fall below
 its tolerance. Solutions are taken from Z, whose zeros are exact by
 construction of the thresholding step.
+
+The lasso solution is piecewise linear in alpha, and lasso_homotopy
+follows that path exactly from kink to kink. Its grid columns serve as
+a warm start: started at a KKT point with the scaled dual at its fixed
+point, the x-update returns the start itself and the residuals measure
+the KKT violation, so the stopping rule certifies an exact start in one
+iteration and a defective one only costs iterations.
 """
 
 from __future__ import annotations
@@ -35,10 +43,12 @@ from .spectral import DEFAULT_RANK_TOL, decompose, trace_pinv_gram
 __all__ = [
     "AdmmParams",
     "LassoPath",
+    "HomotopyPath",
     "GsureAux",
     "soft_threshold",
     "admm_all_at_once",
     "admm_per_alpha",
+    "lasso_homotopy",
     "lasso_df",
     "lasso_gdf",
     "row_space_projector",
@@ -94,13 +104,16 @@ class LassoPath:
     final_rho: float
 
 
+def _shrink(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
 def soft_threshold(v, t):
     """sign(v) * max(|v| - t, 0); t must be nonnegative."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("threshold must be nonnegative")
-    v_arr = np.asarray(v, dtype=float)
-    out = np.sign(v_arr) * np.maximum(np.abs(v_arr) - t_arr, 0.0)
+    out = _shrink(np.asarray(v, dtype=float), t_arr)
     if out.ndim == 0:
         return float(out)
     return out
@@ -117,33 +130,70 @@ def _as_alpha_array(grid) -> np.ndarray:
     return alphas
 
 
+_MAX_FACTORS = 16  # cached factorizations of A^T A + rho I per solve
+_MAX_KINKS_PER_VARIABLE = 10  # cap on the homotopy's steps, per column of A
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _column_norms(M):
+    """np.linalg.norm(M, axis=0) of a real matrix, bit for bit, without
+    its dispatch."""
+    return np.sqrt(np.add.reduce(M * M, axis=0))
+
+
+def _as_data(A, y):
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    m = A.shape[0]
+    if y.shape != (m,):
+        raise ValueError(f"y has shape {y.shape}, expected ({m},)")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
+        raise ValueError("operator and data must be finite")
+    return A, y
+
+
 def admm_all_at_once(A, y, grid, params: AdmmParams | None = None,
-                     adapt_rho: bool = True) -> LassoPath:
+                     adapt_rho: bool = True, start=None) -> LassoPath:
     """Solve min 0.5||Ax - y||^2 + alpha||x||_1 for every alpha at once.
 
+    start is an optional (n, len(grid)) initial Z; the scaled dual then
+    starts at its fixed point A^T (y - A Z) / rho. None starts from zero.
     adapt_rho=False freezes the penalty parameter, which is only useful
     for regression tests of the adaptation itself.
     """
     p = params if params is not None else AdmmParams()
     alphas = _as_alpha_array(grid)
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    m, n = A.shape
-    if y.shape != (m,):
-        raise ValueError(f"y has shape {y.shape}, expected ({m},)")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
-        raise ValueError("operator and data must be finite")
+    A, y = _as_data(A, y)
+    n = A.shape[1]
     n_alpha = alphas.size
 
     AtA = A.T @ A
     Aty = A.T @ y
+    eye = np.eye(n)
+    factors = {}
+
+    def factor(rho):
+        if rho not in factors:
+            if len(factors) == _MAX_FACTORS:  # rho drifting, not cycling
+                factors.clear()
+            factors[rho] = sla.cho_factor(AtA + rho * eye, check_finite=False)
+        return factors[rho]
+
+    # cho_solve's own LAPACK routine, called without its per-call checks
+    potrs = sla.get_lapack_funcs("potrs", (AtA,))
     rho = float(p.rho)
-    cho = sla.cho_factor(AtA + rho * np.eye(n))
+    cho = factor(rho)
     B = np.broadcast_to(Aty[:, None], (n, n_alpha))
 
     X = np.zeros((n, n_alpha))
-    Z = np.zeros((n, n_alpha))
-    U = np.zeros((n, n_alpha))
+    if start is None:
+        Z = np.zeros((n, n_alpha))
+        U = np.zeros((n, n_alpha))
+    else:
+        Z = np.array(start, dtype=float)
+        if Z.shape != (n, n_alpha) or not np.all(np.isfinite(Z)):
+            raise ValueError(f"start must be a finite ({n}, {n_alpha}) array")
+        U = A.T @ (y[:, None] - A @ Z) / rho
     rn = np.zeros(n_alpha)
     sn = np.zeros(n_alpha)
     eps_pri = np.zeros(n_alpha)
@@ -152,16 +202,18 @@ def admm_all_at_once(A, y, grid, params: AdmmParams | None = None,
     iterations = 0
 
     for k in range(p.max_iter):
-        X = sla.cho_solve(cho, B + rho * (Z - U))
-        Znew = soft_threshold(X + U, alphas[None, :] / rho)
+        X = potrs(cho[0], B + rho * (Z - U), lower=cho[1], overwrite_b=True)[0]
+        Znew = _shrink(X + U, alphas[None, :] / rho)  # soft_threshold, unchecked
         U = U + X - Znew
         R = X - Znew
         S = -rho * (Znew - Z)
         Z = Znew
         with np.errstate(over="ignore"):
-            rn = np.linalg.norm(R, axis=0)
-            sn = np.linalg.norm(S, axis=0)
-        bad = ~(np.isfinite(rn) & np.isfinite(sn))
+            rn = _column_norms(R)
+            sn = _column_norms(S)
+            xz = np.maximum(_column_norms(X), _column_norms(Z))
+        # an overflowing iterate norm would make the tolerance infinite
+        bad = ~(np.isfinite(rn) & np.isfinite(sn) & np.isfinite(xz))
         if bad.any():
             exc = NumericError(
                 f"iterates diverged or their norms overflowed at iteration {k + 1}")
@@ -171,14 +223,13 @@ def admm_all_at_once(A, y, grid, params: AdmmParams | None = None,
             if int(np.sum(rn > p.mu * sn)) * 2 > n_alpha:
                 U = U / p.tau
                 rho = p.tau * rho
-                cho = sla.cho_factor(AtA + rho * np.eye(n))
+                cho = factor(rho)
             elif int(np.sum(sn > p.mu * rn)) * 2 > n_alpha:
                 U = p.tau * U
                 rho = rho / p.tau
-                cho = sla.cho_factor(AtA + rho * np.eye(n))
-        eps_pri = p.tol * (sqrt_n + np.maximum(
-            np.linalg.norm(X, axis=0), np.linalg.norm(Z, axis=0)))
-        eps_dual = p.tol * (sqrt_n + rho * np.linalg.norm(U, axis=0))
+                cho = factor(rho)
+        eps_pri = p.tol * (sqrt_n + xz)
+        eps_dual = p.tol * (sqrt_n + rho * _column_norms(U))
         iterations = k + 1
         if np.all(rn < eps_pri) and np.all(sn < eps_dual):
             break
@@ -225,6 +276,103 @@ def admm_per_alpha(A, y, grid, params: AdmmParams | None = None,
         dual_residuals=np.concatenate([run.dual_residuals for run in runs]),
         final_rho=runs[-1].final_rho,
     )
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class HomotopyPath:
+    """Grid columns of the exact lasso path.
+
+    Z holds one solution column per penalty value (hard zeros off the
+    support), kinks the penalties at which the active set changed, in
+    decreasing order. complete is False when the path stopped early;
+    the columns below the last kink then hold the solution there.
+    """
+
+    Z: np.ndarray
+    kinks: np.ndarray
+    complete: bool
+
+
+def lasso_homotopy(A, y, grid) -> HomotopyPath:
+    """Lasso solutions on the grid from the LARS-lasso path (Efron,
+    Hastie, Johnstone & Tibshirani 2004, sec. 3.1; Osborne, Presnell &
+    Turlach 2000).
+
+    The path starts at zero for alpha >= max|A^T y|. Between two kinks
+    the active set I and its signs s are fixed and x_I = a - alpha b,
+    with a and b solved afresh at each kink from the KKT system
+    A_I^T A_I x_I = A_I^T y - alpha s, so no error carries over from one
+    segment to the next. A coefficient shrinking toward zero leaves at
+    its zero. An inactive correlation c_j = A_j^T (y - A x) joins when
+    it reaches +-alpha while moving toward it, so a variable that just
+    left, whose correlation moves inward, cannot rejoin with the same
+    sign; none joins once |I| = rank(A), which keeps the active Gram
+    invertible. Events that rounding puts above the current kink happen
+    at it, so tied variables join together. A singular active Gram stops
+    the path (complete=False).
+    """
+    alphas = _as_alpha_array(grid)
+    A, y = _as_data(A, y)
+    n = A.shape[1]
+    AtA = A.T @ A
+    Aty = A.T @ y
+    rank = np.linalg.matrix_rank(A)
+    desc = np.argsort(-alphas, kind="stable")
+    neg_sorted = -alphas[desc]  # ascending, for searchsorted
+
+    Z = np.zeros((n, alphas.size))
+    x = np.zeros(n)  # the solution at lam
+    lam = float(np.max(np.abs(Aty)))
+    pos = int(np.searchsorted(neg_sorted, -lam, side="right"))
+    j = int(np.argmax(np.abs(Aty)))
+    active, signs = [j], [float(np.sign(Aty[j]))]
+    kinks = [lam]
+    for _ in range(_MAX_KINKS_PER_VARIABLE * n):
+        if pos == alphas.size:
+            break
+        I = np.array(active, dtype=int)
+        s = np.array(signs)
+        try:
+            cho = sla.cho_factor(AtA[np.ix_(I, I)], check_finite=False)
+        except LinAlgError:
+            break
+        a, b = sla.cho_solve(cho, np.stack((Aty[I], s), axis=1), check_finite=False).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # leave: a coefficient moving toward zero reaches it
+            leave = np.where(s * b < 0.0, a / b, -np.inf)
+            # join with sign t (rows +1, -1): t c_j = t (p_j + alpha q_j)
+            # grows to alpha as alpha falls while t q_j < 1
+            join = np.full((2, n), -np.inf)
+            if I.size < rank:
+                G_I = AtA[:, I]
+                tp = _SIGNS * (Aty - G_I @ a)
+                tq = _SIGNS * (G_I @ b)
+                join = np.where(tq < 1.0, tp / (1.0 - tq), -np.inf)
+                join[:, I] = -np.inf
+        leave = np.minimum(leave, lam)
+        join = np.minimum(join, lam)
+        nxt = max(float(np.max(leave)), float(np.max(join)), 0.0)
+
+        end = int(np.searchsorted(neg_sorted, -nxt, side="right"))
+        cols = desc[pos:end]
+        Z[np.ix_(I, cols)] = a[:, None] - alphas[cols][None, :] * b[:, None]
+        x = np.zeros(n)
+        x[I] = a - nxt * b
+        pos = end
+        if nxt == 0.0:
+            break
+        kinks.append(nxt)
+        if np.max(leave) >= np.max(join):
+            k = int(np.argmax(leave))
+            del active[k], signs[k]
+        else:
+            row, j = np.unravel_index(int(np.argmax(join)), join.shape)
+            active.append(int(j))
+            signs.append(float(_SIGNS[row, 0]))
+        lam = nxt
+    complete = pos == alphas.size
+    Z[:, desc[pos:]] = x[:, None]
+    return HomotopyPath(Z=Z, kinks=np.array(kinks), complete=complete)
 
 
 def lasso_df(z) -> int:
@@ -293,7 +441,8 @@ def gsure_aux(A, rank_tol: float = DEFAULT_RANK_TOL) -> GsureAux:
 def lasso_risk_curves(A, y, Z, sigma, aux: GsureAux):
     """Squared residuals, prediction- and estimation-risk estimates of
     every solution column of Z, as lasso_psure_value and
-    lasso_gsure_value define them; gdf is computed once per support."""
+    lasso_gsure_value define them; gdf is computed once per run of equal
+    consecutive supports."""
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     s2 = square(sigma)
@@ -303,18 +452,18 @@ def lasso_risk_curves(A, y, Z, sigma, aux: GsureAux):
     psure = res2 - y.size * s2 + 2.0 * s2 * dfv
     diff = (aux.pinv @ y)[:, None] - Z
     est2 = np.einsum("ij,ij->j", diff, diff)
-    gdf_by_support = {}
-    gdfv = np.empty(Z.shape[1])
-    for k in range(Z.shape[1]):
-        support = np.flatnonzero(Z[:, k])
-        key = support.tobytes()
-        if key not in gdf_by_support:
-            try:
-                gdf_by_support[key] = lasso_gdf(A, support, projector=aux.projector)
-            except NumericError as exc:
-                exc.column = k
-                raise
-        gdfv[k] = gdf_by_support[key]
+    nonzero = Z != 0.0
+    starts = np.flatnonzero(np.concatenate(
+        ([True], np.any(nonzero[:, 1:] != nonzero[:, :-1], axis=0))))
+    gdf_runs = np.empty(starts.size)
+    for r, k in enumerate(starts):
+        try:
+            gdf_runs[r] = lasso_gdf(A, np.flatnonzero(nonzero[:, k]),
+                                    projector=aux.projector)
+        except NumericError as exc:
+            exc.column = int(k)
+            raise
+    gdfv = np.repeat(gdf_runs, np.diff(np.append(starts, Z.shape[1])))
     gsure = est2 - s2 * aux.trace_gram_pinv + 2.0 * s2 * gdfv
     return res2, psure, gsure
 

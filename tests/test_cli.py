@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from regrisk import load_problem, read_records_csv
-from regrisk import cli
+from regrisk import build_problem, load_problem, read_records_csv
+from regrisk import cli, study
 from regrisk.cli import build_parser, load_config_file, main
 
 
@@ -196,6 +196,30 @@ def test_lasso_study_writes_mean_curves(tmp_path, capsys):
     assert manifest["config"]["regularizer"] == "lasso"
     records, rules = read_records_csv(tmp_path / "records.csv")
     assert len(records) == 2 and "sure" in rules
+
+
+def test_wide_lasso_study_keeps_supports_within_rank(tmp_path, capsys, monkeypatch):
+    # m < n down to alpha = 1e-4: the exact path never holds more active
+    # columns than rank(A), so every gdf is defined
+    supports = []
+    real_curves = study.lasso_risk_curves
+
+    def recording(A, y, Z, sigma, aux):
+        supports.append(int(np.count_nonzero(Z, axis=0).max()))
+        return real_curves(A, y, Z, sigma, aux)
+
+    monkeypatch.setattr(study, "lasso_risk_curves", recording)
+    rc = run_cli("lasso-study", "--m", 8, "--n", 12, "--l", 0.06,
+                 "--sigma", 0.1, "--draws", 4, "--grid-log-min", -4,
+                 "--grid-log-max", 1, "--grid-step", 0.05, "--out", tmp_path)
+    assert rc == 0
+    capsys.readouterr()
+    rank = np.linalg.matrix_rank(build_problem(8, 12, 0.06, 0.1).A)
+    assert len(supports) == 4 and max(supports) <= rank
+    solver = json.loads((tmp_path / "manifest.json").read_text())["solver"]
+    assert solver["unconverged_draws"] == 0
+    for key in ("admm_iterations", "path_kinks"):
+        assert 1 <= solver[key]["max"] <= solver[key]["total"] <= 4 * solver[key]["max"]
 
 
 def test_rate_check_command(tmp_path, capsys):

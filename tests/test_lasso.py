@@ -9,6 +9,8 @@ from regrisk import (
     NumericError,
     admm_all_at_once,
     admm_per_alpha,
+    build_problem,
+    default_lasso_grid,
     gsure_aux,
     lasso_df,
     lasso_dp_index,
@@ -277,3 +279,164 @@ def test_dp_index_first_nonnegative_discrepancy():
     assert lasso_dp_index(np.array([0.2, 0.9, 1.0, 3.0]), m, sigma) == 2
     assert lasso_dp_index(np.array([1.5, 2.0, 3.0]), m, sigma) == 0
     assert lasso_dp_index(np.array([0.1, 0.2, 0.3]), m, sigma) == 2
+
+
+# exact path and warm start
+
+
+def _lasso32_draw(master_seed, n_draws, k):
+    """Draw k of the lasso32 benchmark study at this master seed."""
+    problem = build_problem(32, 32, 0.04, 0.1)
+    child = np.random.SeedSequence(master_seed).spawn(n_draws)[k]
+    eps = 0.1 * np.random.default_rng(child).standard_normal(32)
+    return problem.A, problem.A @ problem.x_star + eps
+
+
+def _kkt_gaps(A, y, Z, alphas):
+    """Per-column largest violation of the l1 optimality conditions."""
+    C = A.T @ (y[:, None] - A @ Z)
+    on = Z != 0.0
+    gap = np.where(on, np.abs(C - alphas * np.sign(Z)), np.abs(C) - alphas)
+    return np.maximum(gap, 0.0).max(axis=0)
+
+
+@pytest.mark.parametrize("seed, m, n", [(31, 8, 8), (32, 6, 9), (33, 10, 7)])
+def test_homotopy_matches_enumeration_and_cold_admm(seed, m, n):
+    A, y, _ = make_lasso_instance(seed, m=m, n=n)
+    alphas = alpha_span(A, y, 40, lo_frac=1e-3)
+    path = lasso.lasso_homotopy(A, y, alphas)
+    assert path.complete
+    assert np.all(np.diff(path.kinks) <= 0.0)
+    assert np.all(np.count_nonzero(path.Z, axis=0) <= min(m, n))
+    X_enum, _ = lasso_enum_path(A, y, alphas)
+    np.testing.assert_allclose(path.Z, X_enum, rtol=0, atol=1e-8)
+    cold = admm_all_at_once(A, y, alphas)
+    assert np.all(cold.converged_flags)
+    np.testing.assert_allclose(path.Z, cold.Z, rtol=0, atol=1e-8)
+
+
+def test_homotopy_fills_unsorted_grid_and_zero_above_max_penalty():
+    A, y, _ = make_lasso_instance(34)
+    alphas = alpha_span(A, y, 12)
+    shuffled = np.random.default_rng(0).permutation(alphas.size)
+    path = lasso.lasso_homotopy(A, y, alphas[shuffled])
+    np.testing.assert_array_equal(path.Z, lasso.lasso_homotopy(A, y, alphas).Z[:, shuffled])
+    amax = float(np.max(np.abs(A.T @ y)))
+    assert path.kinks[0] == amax
+    assert np.all(path.Z[:, alphas[shuffled] >= amax] == 0.0)
+
+
+def test_homotopy_joins_tied_variables_together():
+    # |A^T y| ties at its maximum: both variables join at alpha = 1
+    A = np.array([[1.0, 0.0, 0.2], [0.0, 1.0, 0.1], [0.0, 0.0, 1.0]])
+    y = np.array([1.0, 1.0, 0.0])
+    alphas = np.geomspace(1e-3, 2.0, 30)
+    path = lasso.lasso_homotopy(A, y, alphas)
+    np.testing.assert_array_equal(path.kinks[:2], [1.0, 1.0])
+    np.testing.assert_allclose(path.Z, lasso_enum_path(A, y, alphas)[0],
+                               rtol=0, atol=1e-12)
+
+
+def test_homotopy_wide_path_down_to_zero_stays_within_rank():
+    # m < n: once |I| = rank(A) no variable joins, so the active Gram
+    # stays invertible and the path reaches alpha = 0
+    for seed in range(6):
+        A, y, _ = make_lasso_instance(seed, m=6, n=9)
+        alphas = np.append(alpha_span(A, y, 30, lo_frac=1e-12), 0.0)
+        path = lasso.lasso_homotopy(A, y, alphas)
+        assert path.complete
+        assert np.count_nonzero(path.Z, axis=0).max() <= 6
+        assert _kkt_gaps(A, y, path.Z, alphas).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed, k, index, signs", [
+    # index 20 leaves at alpha ~ 2.5745e-4 and must not rejoin with the
+    # same sign just below it
+    (1000504, 5, 20, {3e-4: -1.0, 2.5e-4: 0.0, 1e-4: 0.0}),
+    # index 25 leaves at alpha ~ 2.397e-3 with the active set full and
+    # rejoins with the opposite sign at alpha ~ 1.2245e-3
+    (3000510, 6, 25, {2.5e-3: 1.0, 2e-3: 0.0, 1.2e-3: -1.0}),
+])
+def test_homotopy_leave_and_rejoin_regressions(seed, k, index, signs):
+    A, y = _lasso32_draw(seed, 12, k)
+    vals = default_lasso_grid().values
+    path = lasso.lasso_homotopy(A, y, vals)
+    assert path.complete
+    assert _kkt_gaps(A, y, path.Z, vals).max() <= 1e-12
+    for alpha, sign in signs.items():
+        col = int(np.argmin(np.abs(np.log(vals / alpha))))
+        assert np.sign(path.Z[index, col]) == sign, alpha
+
+
+@pytest.mark.parametrize("seed, n_draws, k", [
+    (20240817, 1, 0), (1000504, 12, 5), (3000510, 12, 6)])
+def test_homotopy_start_certified_within_three_iterations(seed, n_draws, k):
+    A, y = _lasso32_draw(seed, n_draws, k)
+    vals = default_lasso_grid().values
+    path = lasso.lasso_homotopy(A, y, vals)
+    warm = admm_all_at_once(A, y, vals, start=path.Z)
+    assert warm.iterations_used <= 3
+    assert np.all(warm.converged_flags)
+    assert _kkt_gaps(A, y, warm.Z, vals).max() <= 1e-12
+
+
+def test_corrupted_start_still_converges_to_cold_solution():
+    A, y, _ = make_lasso_instance(35)
+    alphas = alpha_span(A, y, 15)
+    start = lasso.lasso_homotopy(A, y, alphas).Z
+    start += 5e-4 * np.random.default_rng(1).standard_normal(start.shape)
+    warm = admm_all_at_once(A, y, alphas, start=start)
+    cold = admm_all_at_once(A, y, alphas)
+    assert np.all(warm.converged_flags) and warm.iterations_used > 3
+    np.testing.assert_allclose(warm.Z, cold.Z, rtol=0, atol=1e-10)
+    assert _kkt_gaps(A, y, warm.Z, alphas).max() <= 1e-10
+
+
+def test_start_validation():
+    A, y, _ = make_lasso_instance(36)
+    alphas = alpha_span(A, y, 4)
+    with pytest.raises(ValueError):
+        admm_all_at_once(A, y, alphas, start=np.zeros((A.shape[1], 3)))
+    bad = np.zeros((A.shape[1], 4))
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        admm_all_at_once(A, y, alphas, start=bad)
+
+
+def test_factorization_computed_once_per_rho(monkeypatch):
+    # one column: the majority vote moves rho nearly every iteration,
+    # but rho only takes a few distinct values
+    A, y, _ = make_lasso_instance(101, m=10, n=8)
+    alpha = np.array([0.3 * float(np.max(np.abs(A.T @ y)))])
+    factored = []
+    real_factor = lasso.sla.cho_factor
+
+    def spy(M, **kwargs):
+        factored.append(M.tobytes())
+        return real_factor(M, **kwargs)
+
+    monkeypatch.setattr(lasso.sla, "cho_factor", spy)
+    path = admm_all_at_once(A, y, alpha)
+    assert len(factored) == len(set(factored))
+    assert len(factored) < path.iterations_used
+    final = (A.T @ A + path.final_rho * np.eye(A.shape[1])).tobytes()
+    assert final in factored
+
+
+def test_gdf_once_per_run_of_equal_supports(monkeypatch):
+    A, y = _lasso32_draw(20240817, 1, 0)
+    vals = default_lasso_grid().values
+    Z = lasso.lasso_homotopy(A, y, vals).Z
+    seen = []
+    real_gdf = lasso.lasso_gdf
+
+    def spy(A, support, projector=None):
+        seen.append(tuple(support))
+        return real_gdf(A, support, projector=projector)
+
+    monkeypatch.setattr(lasso, "lasso_gdf", spy)
+    lasso_risk_curves(A, y, Z, 0.1, gsure_aux(A))
+    supports = [tuple(np.flatnonzero(z)) for z in Z.T]
+    runs = [s for j, s in enumerate(supports) if j == 0 or s != supports[j - 1]]
+    assert seen == runs
+    assert len(runs) < len(vals) // 20

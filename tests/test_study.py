@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from regrisk import study
+from regrisk import lasso, study
 from regrisk import (
     AdmmParams,
     AlphaGrid,
@@ -36,6 +36,7 @@ from regrisk import (
     gsure_aux,
     gsure_curve,
     lasso_dp_index,
+    lasso_homotopy,
     lasso_risk_curves,
     psure_select,
     rate_check,
@@ -449,6 +450,15 @@ def lasso_config(**kw):
     return StudyConfig(**base)
 
 
+def _lasso_solution(problem, cfg, j):
+    """Draw j's solutions as the study computes them: ADMM warm-started
+    from the exact path."""
+    y = _draw(problem, cfg, j)
+    vals = cfg.grid.values
+    return admm_all_at_once(problem.A, y, vals, cfg.admm,
+                            start=lasso_homotopy(problem.A, y, vals).Z).Z
+
+
 def test_lasso_study_solves_each_draw_once(problem16, monkeypatch):
     calls = []
 
@@ -462,6 +472,20 @@ def test_lasso_study_solves_each_draw_once(problem16, monkeypatch):
     assert len(calls) == cfg.n_draws
 
 
+def test_lasso_extras_carry_solver_telemetry(problem16):
+    cfg = lasso_config(n_draws=3)
+    extras = {}
+    run_study(cfg, problem=problem16, extras=extras)
+    vals = LASSO_GRID.values
+    for j in range(cfg.n_draws):
+        y = _draw(problem16, cfg, j)
+        path = lasso_homotopy(problem16.A, y, vals)
+        solve = admm_all_at_once(problem16.A, y, vals, cfg.admm, start=path.Z)
+        assert extras["path_kinks"][j] == path.kinks.size
+        assert extras["admm_iterations"][j] == solve.iterations_used
+    assert extras["unconverged_draws"] == 0
+
+
 @pytest.mark.parametrize("metric", ["l1", "l2_prediction"])
 def test_lasso_one_pass_equals_two_pass_reference(problem16, metric):
     cfg = lasso_config(metric=metric)
@@ -472,7 +496,7 @@ def test_lasso_one_pass_equals_two_pass_reference(problem16, metric):
 
     def solve(j):
         y = _draw(problem16, cfg, j)
-        Z = admm_all_at_once(A, y, vals, cfg.admm).Z
+        Z = _lasso_solution(problem16, cfg, j)
         return Z, lasso_risk_curves(A, y, Z, cfg.sigma, aux)
 
     # first pass: the sums of the curves, in draw order
@@ -550,17 +574,24 @@ def test_lasso_solver_failure_names_draw_and_alpha():
         run_study(cfg)
 
 
-def test_lasso_gdf_failure_names_draw_and_alpha():
-    # m < n: small penalties leave more active columns than rank(A)
-    grid = AlphaGrid(-4.0, 1.0, 0.05)
-    cfg = lasso_config(m=8, n=12, grid=grid, admm=None, master_seed=20240817)
-    with pytest.raises(NumericError) as exc:
-        run_study(cfg)
-    match = re.search(r"are rank deficient at draw (\d+), alpha=(.+)$",
-                      str(exc.value))
-    assert match, str(exc.value)
-    alpha = float(re.sub(r"^np\.float64\((.*)\)$", r"\1", match.group(2)))
-    assert alpha in grid.values
+def test_lasso_gdf_failure_names_draw_and_alpha(problem16, monkeypatch):
+    # a stubbed gdf fails on the first support of draw 1 that draw 0
+    # does not have; the study names draw 1 and that support's first alpha
+    cfg = lasso_config(n_draws=2)
+    supports = [[tuple(np.flatnonzero(z)) for z in _lasso_solution(problem16, cfg, j).T]
+                for j in range(cfg.n_draws)]
+    col = next(k for k, sup in enumerate(supports[1]) if sup not in supports[0])
+    real_gdf = lasso.lasso_gdf
+
+    def failing(A, support, projector=None):
+        if tuple(support) == supports[1][col]:
+            raise NumericError("stub gdf failure")
+        return real_gdf(A, support, projector=projector)
+
+    monkeypatch.setattr(lasso, "lasso_gdf", failing)
+    with pytest.raises(NumericError, match=re.escape(
+            f"stub gdf failure at draw 1, alpha={LASSO_GRID.values[col]!r}")):
+        run_study(cfg, problem=problem16)
 
 
 # rate fits
