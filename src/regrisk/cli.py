@@ -40,6 +40,7 @@ from .lasso import (
     admm_per_alpha,
     gsure_aux,
     lasso_dp_index,
+    lasso_homotopy,
     lasso_risk_curves,
 )
 from .problem import build_problem, load_problem, problem_hash, save_problem
@@ -50,7 +51,7 @@ from .rules import (
     default_lasso_grid,
     default_quadratic_grid,
     dp_select,
-    gsure_curve,
+    gsure_value,
     oracle_error_curve,
 )
 from .spectral import decompose, to_spectral
@@ -485,7 +486,7 @@ def _demo_quadratic(problem, y, out_rows):
     def pick(kind, alphas):
         return _demo_pick(
             out_rows, kind, alphas,
-            gsure_curve(dec, coords, alphas, problem.sigma),
+            gsure_value(dec, coords, alphas, problem.sigma),
             oracle_error_curve(dec, coords, coords.xstar_coords, alphas),
         )
 
@@ -499,7 +500,8 @@ def _demo_lasso(problem, y, out_rows):
     A, sigma = problem.A, problem.sigma
     vals = default_lasso_grid().values
     aux = gsure_aux(A)
-    Z_log = admm_all_at_once(A, y, vals).Z
+    # as the l1 study does: ADMM certifies the exact path
+    Z_log = admm_all_at_once(A, y, vals, start=lasso_homotopy(A, y, vals).Z).Z
     res2, _, gsure_log = lasso_risk_curves(A, y, Z_log, sigma, aux)
     alpha_dp = float(vals[lasso_dp_index(res2, problem.m, sigma)])
 

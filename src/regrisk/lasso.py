@@ -12,9 +12,10 @@ Iteration layout per step k:
   Z   <- soft threshold of X + U at alpha_j / rho per column
   U   <- U + X - Z
   rho <- adapted by a majority vote over columns comparing primal and
-         dual residual norms; U is rescaled with it. Rho only moves by
-         factors of tau, so its values repeat: each factorization is
-         built once per rho value and kept.
+         dual residual norms (a ratio beyond _MU moves it); U is
+         rescaled with it. Rho only moves by factors of _TAU, so its
+         values repeat: each factorization is built once per rho value
+         and kept.
 Stopping requires every column's primal and dual residual to fall below
 its tolerance. Solutions are taken from Z, whose zeros are exact by
 construction of the thresholding step.
@@ -37,7 +38,7 @@ from numpy.linalg import LinAlgError
 
 from .accum import square
 from .errors import NumericError
-from .rules import AlphaGrid
+from .rules import _alpha_values
 from .spectral import DEFAULT_RANK_TOL, decompose, trace_pinv_gram
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "lasso_homotopy",
     "lasso_df",
     "lasso_gdf",
-    "row_space_projector",
     "gsure_aux",
     "lasso_risk_curves",
     "lasso_dp_index",
@@ -62,22 +62,17 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class AdmmParams:
-    """Solver constants; the defaults are the standard choices used by
-    every study in this package."""
+    """Solver settings; the defaults are the standard choices used by
+    every study in this package. The rho adaptation constants are the
+    module's _TAU and _MU."""
 
     rho: float = 1.0
-    tau: float = 2.0
-    mu: float = 1.1
     max_iter: int = 10_000
     tol: float = 1e-14
 
     def __post_init__(self):
         if not self.rho > 0:
             raise ValueError("rho must be positive")
-        if not self.tau > 1:
-            raise ValueError("tau must exceed 1")
-        if not self.mu > 1:
-            raise ValueError("mu must exceed 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.tol > 0:
@@ -120,16 +115,14 @@ def soft_threshold(v, t):
 
 
 def _as_alpha_array(grid) -> np.ndarray:
-    alphas = grid.values if isinstance(grid, AlphaGrid) else np.asarray(grid, dtype=float)
-    if alphas.ndim != 1 or alphas.size == 0:
-        raise ValueError("need a nonempty 1-D penalty grid")
-    if not np.all(np.isfinite(alphas)):
+    alphas = _alpha_values(grid)
+    if np.any(np.isinf(alphas)):
         raise ValueError("penalty grid must be finite (no +inf point here)")
-    if np.any(alphas < 0):
-        raise ValueError("penalties must be nonnegative")
     return alphas
 
 
+_TAU = 2.0  # factor by which rho moves
+_MU = 1.1  # residual-norm ratio beyond which a column votes to move rho
 _MAX_FACTORS = 16  # cached factorizations of A^T A + rho I per solve
 _MAX_KINKS_PER_VARIABLE = 10  # cap on the homotopy's steps, per column of A
 _SIGNS = np.array([[1.0], [-1.0]])
@@ -220,13 +213,13 @@ def admm_all_at_once(A, y, grid, params: AdmmParams | None = None,
             exc.column = int(np.argmax(bad))
             raise exc
         if adapt_rho:
-            if int(np.sum(rn > p.mu * sn)) * 2 > n_alpha:
-                U = U / p.tau
-                rho = p.tau * rho
+            if int(np.sum(rn > _MU * sn)) * 2 > n_alpha:
+                U = U / _TAU
+                rho = _TAU * rho
                 cho = factor(rho)
-            elif int(np.sum(sn > p.mu * rn)) * 2 > n_alpha:
-                U = p.tau * U
-                rho = rho / p.tau
+            elif int(np.sum(sn > _MU * rn)) * 2 > n_alpha:
+                U = _TAU * U
+                rho = rho / _TAU
                 cho = factor(rho)
         eps_pri = p.tol * (sqrt_n + xz)
         eps_dual = p.tol * (sqrt_n + rho * _column_norms(U))
@@ -405,11 +398,6 @@ def lasso_gdf(A, support, projector: np.ndarray | None = None) -> float:
     sub = projector[np.ix_(support, support)]
     # tr(sub @ inv) with inv symmetric
     return float(np.sum(sub * inv))
-
-
-def row_space_projector(A) -> np.ndarray:
-    """Orthogonal projector A^+ A onto the row space."""
-    return np.linalg.pinv(A) @ A
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -1,4 +1,4 @@
-"""Periodic-convolution test problem: kernel, forward matrix, spikes, noise.
+"""Periodic-convolution test problem: kernel, forward matrix and spikes.
 
 The continuous model convolves a 1-periodic bump kernel of half-width l
 with a sum of four point masses. Discretizing onto equispaced cells and
@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "KernelSpec",
     "ProblemInstance",
-    "NoiseDraw",
     "KERNEL_NORM_NODES",
     "CELL_QUAD_NODES",
     "SPIKE_AMPLITUDES",
@@ -32,7 +31,6 @@ __all__ = [
     "build_forward_matrix",
     "build_true_solution",
     "build_problem",
-    "sample_noise",
     "problem_hash",
     "save_problem",
     "load_problem",
@@ -69,14 +67,6 @@ class ProblemInstance:
     m: int
     n: int
     l: float
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class NoiseDraw:
-    """One vector of i.i.d. centered Gaussian samples plus its seed."""
-
-    eps: np.ndarray
-    seed: object
 
 
 def _bump(u):
@@ -174,20 +164,6 @@ def build_problem(m: int, n: int, l: float, sigma: float) -> ProblemInstance:
     return ProblemInstance(
         A=A, x_star=build_true_solution(n), sigma=float(sigma), m=m, n=n, l=l
     )
-
-
-def sample_noise(sigma: float, m: int, seed) -> NoiseDraw:
-    """m i.i.d. Gaussian(0, sigma^2) samples, reproducible from seed.
-
-    seed may be anything numpy's default_rng accepts (int, SeedSequence).
-    Distinct seeds give statistically independent streams.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if m < 1:
-        raise ValueError("m must be positive")
-    rng = np.random.default_rng(seed)
-    return NoiseDraw(eps=sigma * rng.standard_normal(m), seed=seed)
 
 
 def problem_hash(inst: ProblemInstance) -> str:

@@ -5,11 +5,13 @@ terms, with v = y^2 for the risk estimates and v = E y^2 for the exact
 risks. One prediction-side and one estimation-side helper hold these
 formulas, and the weights come from the elementwise kernels of spectral,
 so a scalar evaluation and a whole-grid evaluation share the same weight
-algebra. Scalar entry points (the *_value and *_true functions) sum with
-math.fsum, exactly rounded; the *_table and *_curve helpers evaluate a
-whole grid (an AlphaGrid or a 1-D alpha array) at once with matrix
-products. Grids may carry a distinguished +inf point, which the kernels
-fill with the analytic limit, so downstream code never branches on it.
+algebra. Each risk is one function, the *_value estimates and the *_true
+exact risks alike: at a scalar alpha it returns a float summed with
+math.fsum, exactly rounded, and on a grid (an AlphaGrid or a 1-D alpha
+array) the whole curve at once, through matrix products with the
+*_table weights. Grids may carry a distinguished +inf point, which the
+kernels fill with the analytic limit, so downstream code never branches
+on it.
 
 Selection is argmin over the grid with ties resolved toward the larger
 (more stabilized) alpha. The residual-discrepancy rule is the exception:
@@ -64,12 +66,6 @@ __all__ = [
     "estimation_weight_table",
     "df_table",
     "gdf_table",
-    "dp_curve",
-    "psure_curve",
-    "gsure_curve",
-    "mspe_curve",
-    "msee_curve",
-    "edp_curve",
     "loss_l_curve",
     "loss_tilde_curve",
     "oracle_error_curve",
@@ -78,8 +74,6 @@ __all__ = [
     "psure_select",
     "gsure_select",
     "oracle_select",
-    "mspe_oracle_select",
-    "msee_oracle_select",
     "psure_alpha_bounds",
 ]
 
@@ -222,17 +216,25 @@ def _estimation_side(dec, v, at, sigma):
     return fit - s2 * trace + 2.0 * s2 * gdfv
 
 
-def dp_value(dec, coords, alpha, sigma) -> float:
+def _residual_fit(dec, coords, at):
+    """y . W1 of the data: y^2 @ W1 along a grid, residual_norm_sq at one
+    alpha (see _prediction_side)."""
+    if _on_grid(at):
+        return _prediction_fit(dec, coords.y_coords**2, at)
+    return residual_norm_sq(dec, coords, at)
+
+
+def dp_value(dec, coords, alpha, sigma):
     """Residual discrepancy: squared misfit minus the noise energy m*sigma^2."""
-    return _prediction_side(dec, residual_norm_sq(dec, coords, alpha), alpha, sigma, False)
+    return _prediction_side(dec, _residual_fit(dec, coords, alpha), alpha, sigma, False)
 
 
-def psure_value(dec, coords, alpha, sigma) -> float:
+def psure_value(dec, coords, alpha, sigma):
     """Unbiased prediction-risk estimate: discrepancy plus 2 sigma^2 df."""
-    return _prediction_side(dec, residual_norm_sq(dec, coords, alpha), alpha, sigma, True)
+    return _prediction_side(dec, _residual_fit(dec, coords, alpha), alpha, sigma, True)
 
 
-def gsure_value(dec, coords, alpha, sigma) -> float:
+def gsure_value(dec, coords, alpha, sigma):
     """Unbiased estimation-risk estimate through the pseudo-inverse.
 
     Sum of (1/gamma - gamma/(gamma^2+alpha))^2 y^2 over the effective
@@ -241,23 +243,20 @@ def gsure_value(dec, coords, alpha, sigma) -> float:
     return _estimation_side(dec, coords.y_coords**2, alpha, sigma)
 
 
-def mspe_true(dec, xstar_coords, alpha, sigma) -> float:
-    """Exact mean squared prediction error of the ridge estimate (along
-    a grid when alpha is one, as mspe_curve)."""
+def mspe_true(dec, xstar_coords, alpha, sigma):
+    """Exact mean squared prediction error of the ridge estimate."""
     e2 = expected_data_power(dec, xstar_coords, sigma)
     return _prediction_side(dec, _prediction_fit(dec, e2, alpha), alpha, sigma, True)
 
 
-def msee_true(dec, xstar_coords, alpha, sigma) -> float:
-    """Exact mean squared estimation error on the row space (along a
-    grid when alpha is one, as msee_curve)."""
+def msee_true(dec, xstar_coords, alpha, sigma):
+    """Exact mean squared estimation error on the row space."""
     return _estimation_side(
         dec, expected_data_power(dec, xstar_coords, sigma), alpha, sigma)
 
 
-def edp_true(dec, xstar_coords, alpha, sigma) -> float:
-    """Expectation of the residual discrepancy (along a grid when alpha
-    is one, as edp_curve)."""
+def edp_true(dec, xstar_coords, alpha, sigma):
+    """Expectation of the residual discrepancy."""
     e2 = expected_data_power(dec, xstar_coords, sigma)
     return _prediction_side(dec, _prediction_fit(dec, e2, alpha), alpha, sigma, False)
 
@@ -349,35 +348,6 @@ def df_table(dec, grid) -> np.ndarray:
 def gdf_table(dec, grid) -> np.ndarray:
     """(K,) generalized degrees of freedom; 0 at +inf."""
     return _rank_sums(_gdf_term, dec, grid)
-
-
-# whole-grid curves for a single realization (grid: AlphaGrid or 1-D array)
-
-
-def dp_curve(dec, coords, grid, sigma) -> np.ndarray:
-    y2 = coords.y_coords**2
-    return _prediction_side(dec, _prediction_fit(dec, y2, grid), grid, sigma, False)
-
-
-def psure_curve(dec, coords, grid, sigma) -> np.ndarray:
-    y2 = coords.y_coords**2
-    return _prediction_side(dec, _prediction_fit(dec, y2, grid), grid, sigma, True)
-
-
-def gsure_curve(dec, coords, grid, sigma) -> np.ndarray:
-    return _estimation_side(dec, coords.y_coords**2, grid, sigma)
-
-
-def mspe_curve(dec, xstar_coords, grid, sigma) -> np.ndarray:
-    return mspe_true(dec, xstar_coords, grid, sigma)
-
-
-def msee_curve(dec, xstar_coords, grid, sigma) -> np.ndarray:
-    return msee_true(dec, xstar_coords, grid, sigma)
-
-
-def edp_curve(dec, xstar_coords, grid, sigma) -> np.ndarray:
-    return edp_true(dec, xstar_coords, grid, sigma)
 
 
 def _expanded_sq_error(F, const, cross, quad):
@@ -480,7 +450,7 @@ def dp_select(dec, coords, grid, sigma, rel_tol: float = 1e-6) -> RuleSelection:
     negative on the whole finite grid returns the last point (the +inf
     slot when the grid has one).
     """
-    curve = dp_curve(dec, coords, grid, sigma)
+    curve = dp_value(dec, coords, grid, sigma)
     nf = grid.n_finite
     nonneg = curve[:nf] >= 0.0
     if nonneg[0]:
@@ -502,28 +472,16 @@ def dp_select(dec, coords, grid, sigma, rel_tol: float = 1e-6) -> RuleSelection:
 
 
 def psure_select(dec, coords, grid, sigma) -> RuleSelection:
-    return select_by_minimization(psure_curve(dec, coords, grid, sigma), grid, "psure")
+    return select_by_minimization(psure_value(dec, coords, grid, sigma), grid, "psure")
 
 
 def gsure_select(dec, coords, grid, sigma) -> RuleSelection:
-    return select_by_minimization(gsure_curve(dec, coords, grid, sigma), grid, "sure")
+    return select_by_minimization(gsure_value(dec, coords, grid, sigma), grid, "sure")
 
 
 def oracle_select(dec, coords, xstar_coords, grid, metric="l2_estimation") -> RuleSelection:
     errs = oracle_error_curve(dec, coords, xstar_coords, grid, metric)
     return select_by_minimization(errs, grid, "oracle")
-
-
-def mspe_oracle_select(dec, xstar_coords, grid, sigma) -> RuleSelection:
-    return select_by_minimization(
-        mspe_curve(dec, xstar_coords, grid, sigma), grid, "mspe_oracle"
-    )
-
-
-def msee_oracle_select(dec, xstar_coords, grid, sigma) -> RuleSelection:
-    return select_by_minimization(
-        msee_curve(dec, xstar_coords, grid, sigma), grid, "msee_oracle"
-    )
 
 
 def psure_alpha_bounds(dec, xstar_coords, sigma):

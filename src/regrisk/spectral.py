@@ -35,7 +35,6 @@ __all__ = [
     "df",
     "gdf",
     "trace_pinv_gram",
-    "pinv_apply",
     "check_alpha",
 ]
 
@@ -274,13 +273,3 @@ def trace_pinv_gram(dec: SpectralDecomposition) -> float:
             f"cond(A)={dec.cond:.3e}"
         )
     return neumaier_sum(_gdf_term(g, 0.0))
-
-
-def pinv_apply(dec: SpectralDecomposition, y) -> np.ndarray:
-    """Minimum-norm least-squares solution A^+ y via the singular system."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (dec.m,):
-        raise ValueError(f"y has shape {y.shape}, expected ({dec.m},)")
-    yc = dec.U.T @ y
-    g = dec.gammas[: dec.r]
-    return dec.V[:, : dec.r] @ (yc[: dec.r] / g)

@@ -27,14 +27,12 @@ from regrisk import (
     error_stats,
     gdf,
     gsure_aux,
-    gsure_curve,
     gsure_value,
     lasso_gdf,
     lasso_gsure_value,
     lasso_psure_value,
     mean_sup_deviation,
     msee_true,
-    mspe_curve,
     mspe_true,
     psure_alpha_bounds,
     rate_check,
@@ -244,7 +242,7 @@ def test_criterion_7_bracket_contains_minimizer(paper_problem, capsys):
         s_pert = 10.0 ** rng.uniform(-2, 0)
         xsp = dec.V.T @ x_pert
         lo, hi = psure_alpha_bounds(dec, xsp, s_pert)
-        curve = mspe_curve(dec, xsp, grid, s_pert)
+        curve = mspe_true(dec, xsp, grid, s_pert)
         k = int(len(curve) - 1 - np.argmin(curve[::-1]))
         a_hat = float(grid.values[k])
         if lo / slack <= a_hat <= hi * slack:
@@ -379,7 +377,7 @@ def test_criterion_10_linear_grid_pitfall(paper_problem, capsys):
         lin = (2.0 * a_dp / 50.0) * np.arange(1, 51)
         lin_vals = np.array([gsure_value(dec, coords, a, SIGMA) for a in lin])
         k_lin = int(len(lin_vals) - 1 - np.argmin(lin_vals[::-1]))
-        curve = gsure_curve(dec, coords, grid, SIGMA)
+        curve = gsure_value(dec, coords, grid, SIGMA)
         k_log = int(len(curve) - 1 - np.argmin(curve[::-1]))
         a_lin = float(lin[k_lin])
         a_log = float(grid.values[k_log])

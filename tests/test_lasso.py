@@ -18,7 +18,6 @@ from regrisk import (
     lasso_gsure_value,
     lasso_psure_value,
     lasso_risk_curves,
-    row_space_projector,
     soft_threshold,
 )
 
@@ -185,7 +184,7 @@ def test_gdf_matches_divergence_rank_deficient():
     x, _ = lasso_enum_single(A, y, alpha)
     support = np.flatnonzero(x)
     assert 0 < support.size <= 6
-    projector = row_space_projector(A)
+    projector = gsure_aux(A).projector
     got = lasso_gdf(A, support, projector=projector)
     want = fd_divergence(_solution_map(A, alpha), y, delta=1e-6)
     np.testing.assert_allclose(got, want, rtol=1e-6)
@@ -201,7 +200,7 @@ def test_gdf_full_rank_equals_trace_of_gram_inverse():
 
 def test_row_space_projector_idempotent():
     A, _, _ = make_lasso_instance(14, m=6, n=8)
-    P = row_space_projector(A)
+    P = gsure_aux(A).projector
     np.testing.assert_allclose(P @ P, P, atol=1e-10)
     np.testing.assert_allclose(P, P.T, atol=1e-12)
 

@@ -13,7 +13,6 @@ from regrisk import (
     load_problem,
     make_kernel,
     problem_hash,
-    sample_noise,
     save_problem,
 )
 from regrisk.problem import SPIKE_AMPLITUDES, SPIKE_POSITIONS, _cell_integral
@@ -122,16 +121,6 @@ def test_build_problem_validation():
         build_problem(16, 16, 0.06, -0.1)
     with pytest.raises(ValueError):
         build_problem(0, 16, 0.06, 0.1)
-
-
-def test_sample_noise_deterministic_and_scaled():
-    d1 = sample_noise(0.1, 32, seed=5)
-    d2 = sample_noise(0.1, 32, seed=5)
-    np.testing.assert_array_equal(d1.eps, d2.eps)
-    d3 = sample_noise(0.2, 32, seed=5)
-    np.testing.assert_allclose(d3.eps, 2.0 * d1.eps, rtol=1e-15)
-    with pytest.raises(ValueError):
-        sample_noise(0.0, 32, seed=5)
 
 
 def test_save_load_round_trip(tmp_path, problem16):

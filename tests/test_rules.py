@@ -15,33 +15,26 @@ from regrisk import (
     default_lasso_grid,
     default_quadratic_grid,
     df_table,
-    dp_curve,
     dp_select,
     dp_value,
-    edp_curve,
     edp_true,
     effective_gammas,
     estimation_weight_table,
     expected_data_power,
     filter_table,
     gdf_table,
-    gsure_curve,
     gsure_select,
     gsure_value,
     loss_l,
     loss_l_curve,
     loss_tilde,
     loss_tilde_curve,
-    msee_curve,
     msee_true,
-    mspe_curve,
-    mspe_oracle_select,
     mspe_true,
     oracle_error_curve,
     oracle_select,
     prediction_weight_table,
     psure_alpha_bounds,
-    psure_curve,
     psure_select,
     psure_value,
     residual_norm_sq,
@@ -166,43 +159,55 @@ def test_expected_data_power_subrank_is_noise_only(wide_problem):
 def test_curves_match_scalars(dec16, coords16):
     grid = AlphaGrid(-6.0, 6.0, 0.75, includes_infinity=True)
     xs = coords16.xstar_coords
-    pairs = [
-        (dp_curve(dec16, coords16, grid, SIGMA),
-         lambda a: dp_value(dec16, coords16, a, SIGMA)),
-        (psure_curve(dec16, coords16, grid, SIGMA),
-         lambda a: psure_value(dec16, coords16, a, SIGMA)),
-        (gsure_curve(dec16, coords16, grid, SIGMA),
-         lambda a: gsure_value(dec16, coords16, a, SIGMA)),
-        (mspe_curve(dec16, xs, grid, SIGMA),
-         lambda a: mspe_true(dec16, xs, a, SIGMA)),
-        (msee_curve(dec16, xs, grid, SIGMA),
-         lambda a: msee_true(dec16, xs, a, SIGMA)),
-        (edp_curve(dec16, xs, grid, SIGMA),
-         lambda a: edp_true(dec16, xs, a, SIGMA)),
-    ]
-    for curve, scalar in pairs:
-        want = np.array([scalar(a) for a in grid.values])
-        np.testing.assert_allclose(curve, want, rtol=1e-10, atol=1e-12)
+    for risk, data in (
+        (dp_value, coords16),
+        (psure_value, coords16),
+        (gsure_value, coords16),
+        (mspe_true, xs),
+        (msee_true, xs),
+        (edp_true, xs),
+    ):
+        want = np.array([risk(dec16, data, a, SIGMA) for a in grid.values])
+        np.testing.assert_allclose(
+            risk(dec16, data, grid, SIGMA), want, rtol=1e-10, atol=1e-12)
 
 
 def test_curves_take_a_1d_alpha_array(dec16, coords16):
     grid = AlphaGrid(-6.0, 6.0, 0.75, includes_infinity=True)
     alphas = np.array([2.5e-3, 0.7, 0.0, np.inf, 31.0])
     xs = coords16.xstar_coords
-    for curve, scalar in (
-        (dp_curve, lambda a: dp_value(dec16, coords16, a, SIGMA)),
-        (psure_curve, lambda a: psure_value(dec16, coords16, a, SIGMA)),
-        (gsure_curve, lambda a: gsure_value(dec16, coords16, a, SIGMA)),
-    ):
-        want = np.array([scalar(a) for a in alphas])
+    for risk in (dp_value, psure_value, gsure_value):
+        want = np.array([risk(dec16, coords16, a, SIGMA) for a in alphas])
         np.testing.assert_allclose(
-            curve(dec16, coords16, alphas, SIGMA), want, rtol=1e-10, atol=1e-12)
+            risk(dec16, coords16, alphas, SIGMA), want, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(
         oracle_error_curve(dec16, coords16, xs, grid.values),
         oracle_error_curve(dec16, coords16, xs, grid), rtol=1e-12)
     for bad in ([], [[1.0]], [1.0, np.nan], [-1.0]):
         with pytest.raises(ValueError):
-            dp_curve(dec16, coords16, np.array(bad, dtype=float), SIGMA)
+            dp_value(dec16, coords16, np.array(bad, dtype=float), SIGMA)
+
+
+@pytest.mark.parametrize("m, n", [(16, 16), (8, 12), (12, 8)])
+def test_grid_risks_are_the_table_expressions_bit_for_bit(m, n):
+    # along a grid the estimates are the whole-grid table expressions the
+    # selections and the study are built on, to the last bit
+    problem = build_problem(m, n, 0.06, SIGMA)
+    dec = decompose(problem.A)
+    rng = np.random.default_rng(20240818)
+    y = problem.A @ problem.x_star + SIGMA * rng.standard_normal(m)
+    coords = to_spectral(dec, y, problem.x_star)
+    y2 = coords.y_coords**2
+    s2 = SIGMA * SIGMA
+    for grid in (default_quadratic_grid(),
+                 np.array([0.0, 1e-9, 2.5e-3, 0.7, 31.0, 1e12, np.inf])):
+        dp = y2 @ prediction_weight_table(dec, grid) - m * s2
+        psure = dp + 2.0 * s2 * df_table(dec, grid)
+        gsure = (y2[: dec.r] @ estimation_weight_table(dec, grid)
+                 - s2 * trace_pinv_gram(dec) + 2.0 * s2 * gdf_table(dec, grid))
+        assert np.array_equal(dp_value(dec, coords, grid, SIGMA), dp)
+        assert np.array_equal(psure_value(dec, coords, grid, SIGMA), psure)
+        assert np.array_equal(gsure_value(dec, coords, grid, SIGMA), gsure)
 
 
 def _whole_grid_tables(dec, grid):
@@ -269,9 +274,9 @@ def test_centered_identity_between_estimators(dec16, coords16):
     # and the discrepancy pair, slot by slot
     grid = AlphaGrid(-10.0, 10.0, 0.5, includes_infinity=True)
     xs = coords16.xstar_coords
-    lhs = psure_curve(dec16, coords16, grid, SIGMA) - mspe_curve(
+    lhs = psure_value(dec16, coords16, grid, SIGMA) - mspe_true(
         dec16, xs, grid, SIGMA)
-    rhs = dp_curve(dec16, coords16, grid, SIGMA) - edp_curve(
+    rhs = dp_value(dec16, coords16, grid, SIGMA) - edp_true(
         dec16, xs, grid, SIGMA)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-10)
 
@@ -326,7 +331,7 @@ def test_select_by_minimization_prefers_larger_alpha_on_ties():
 
 def test_select_by_minimization_matches_scan(dec16, coords16):
     grid = AlphaGrid(-8.0, 8.0, 0.25, includes_infinity=True)
-    values = gsure_curve(dec16, coords16, grid, SIGMA)
+    values = gsure_value(dec16, coords16, grid, SIGMA)
     sel = select_by_minimization(values, grid, rule="sure")
     assert sel.index == scan_min_larger(list(values))
 
@@ -348,8 +353,8 @@ def test_select_by_minimization_rejects_non_finite():
 def test_psure_gsure_select_consistent_with_curves(dec16, coords16):
     grid = default_quadratic_grid()
     for select, curve in (
-        (psure_select, psure_curve),
-        (gsure_select, gsure_curve),
+        (psure_select, psure_value),
+        (gsure_select, gsure_value),
     ):
         sel = select(dec16, coords16, grid, SIGMA)
         values = curve(dec16, coords16, grid, SIGMA)
@@ -430,7 +435,7 @@ def test_oracle_error_curve_prediction_metric(problem16, dec16, coords16):
 def test_mspe_oracle_select_brackets(problem16, dec16):
     xs = dec16.V.T @ problem16.x_star
     grid = default_quadratic_grid()
-    sel = mspe_oracle_select(dec16, xs, grid, SIGMA)
+    sel = select_by_minimization(mspe_true(dec16, xs, grid, SIGMA), grid)
     lo, hi = psure_alpha_bounds(dec16, xs, SIGMA)
     slack = 10.0**grid.step
     assert lo / slack <= sel.alpha_hat <= hi * slack

@@ -9,7 +9,6 @@ from regrisk import (
     df,
     filter_factors,
     gdf,
-    pinv_apply,
     residual_norm_sq,
     tikhonov_solve,
     to_spectral,
@@ -132,11 +131,6 @@ def test_residual_monotone_df_antitone(dec16, problem16, draw16):
 def test_trace_pinv_gram_matches_dense(problem16, dec16):
     np.testing.assert_allclose(
         trace_pinv_gram(dec16), dense_trace_pinv_gram(problem16.A), rtol=1e-9)
-
-
-def test_pinv_apply_matches_numpy(problem16, dec16, draw16):
-    want = np.linalg.pinv(problem16.A) @ draw16
-    np.testing.assert_allclose(pinv_apply(dec16, draw16), want, atol=1e-10)
 
 
 def test_to_spectral_round_trip(problem16, dec16, draw16):

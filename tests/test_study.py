@@ -1,12 +1,17 @@
+import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import regrisk
 from regrisk import lasso, study
 from regrisk import (
     AdmmParams,
@@ -19,8 +24,8 @@ from regrisk import (
     build_problem,
     decompose,
     default_quadratic_grid,
-    dp_curve,
     dp_select,
+    dp_value,
     error_stats,
     gsure_select,
     lasso_gsure_value,
@@ -29,16 +34,14 @@ from regrisk import (
     loss_l_curve,
     loss_tilde_curve,
     mean_sup_deviation,
-    mspe_curve,
-    msee_curve,
     oracle_select,
-    psure_curve,
     gsure_aux,
-    gsure_curve,
+    gsure_value,
     lasso_dp_index,
     lasso_homotopy,
     lasso_risk_curves,
     psure_select,
+    psure_value,
     rate_check,
     read_records_csv,
     run_study,
@@ -173,6 +176,40 @@ def test_quadratic_workers_bit_identical(problem16, dec16, monkeypatch):
     assert [dataclasses.asdict(r) for r in a] == [dataclasses.asdict(r) for r in b]
 
 
+
+def _study_rows_with_blas_threads(tmp_path, threads):
+    out = tmp_path / f"blas{threads}"
+    out.mkdir()
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(regrisk.__file__)), env.get("PYTHONPATH"))))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from regrisk.cli import main; sys.exit(main(sys.argv[1:]))",
+         "run-study", "--m", "64", "--n", "64", "--l", "0.06", "--sigma", "0.1",
+         "--draws", "600", "--seed", "7", "--workers", "1", "--out", str(out)],
+        env=env, capture_output=True, check=True, timeout=600)
+    with open(out / "records.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def test_blas_thread_count_keeps_selections_and_errors(tmp_path):
+    # Selections and errors do not depend on the BLAS thread count. The
+    # sup deviations may differ in their last bits: the exact-risk curve
+    # e2 @ W1 is a BLAS product whose summation order follows the threads.
+    header, one = _study_rows_with_blas_threads(tmp_path, 1)
+    header2, two = _study_rows_with_blas_threads(tmp_path, 2)
+    assert header == header2 and len(one) == len(two) == 600
+    sups = [header.index("sup_dev_psure"), header.index("sup_dev_gsure")]
+    exact = [k for k in range(len(header)) if k not in sups]
+    for a, b in zip(one, two):
+        assert [a[k] for k in exact] == [b[k] for k in exact]
+        for k in sups:
+            assert float(a[k]) == pytest.approx(float(b[k]), rel=1e-12, abs=0.0)
+
 def test_blocked_pass_equals_whole_grid_matrices(problem16, dec16):
     # The evaluator without column blocks: every (draws x grid) matrix
     # built whole. The blocked pass must give the same bits; 150 draws at
@@ -211,7 +248,7 @@ def _dp_root_reference(dec, coords, grid, sigma, rel_tol=1e-6):
     # then bisection with the per-draw stopping rule
     vals = grid.values
     nf = grid.n_finite
-    k = int(np.sum(dp_curve(dec, coords, grid, sigma)[:nf] < 0.0))
+    k = int(np.sum(dp_value(dec, coords, grid, sigma)[:nf] < 0.0))
     if k == 0:
         return vals[0]
     if k == nf:
@@ -302,7 +339,7 @@ def test_first_non_finite_named_after_the_sweep(problem16, dec16):
         for j in range(n):
             y = problem.A @ problem.x_star + cfg.sigma * np.random.default_rng(
                 children[j]).standard_normal(16)
-            curve = psure_curve(dec16, to_spectral(dec16, y, problem.x_star),
+            curve = psure_value(dec16, to_spectral(dec16, y, problem.x_star),
                                 grid, cfg.sigma)
             bad = np.flatnonzero(~np.isfinite(curve))
             if bad.size:
@@ -359,11 +396,11 @@ def test_track_loss_closeness_fields(problem16, dec16):
     assert all(r.sup_loss_psure is not None for r in records)
     y = _draw(problem16, cfg, 0)
     coords = to_spectral(dec16, y, problem16.x_star)
-    pc = psure_curve(dec16, coords, cfg.grid, cfg.sigma)
+    pc = psure_value(dec16, coords, cfg.grid, cfg.sigma)
     lc = loss_l_curve(dec16, coords, xs, cfg.grid)
     want_p = float(np.max(np.abs(pc / cfg.m - lc)))
     np.testing.assert_allclose(records[0].sup_loss_psure, want_p, rtol=1e-7)
-    gc = gsure_curve(dec16, coords, cfg.grid, cfg.sigma)
+    gc = gsure_value(dec16, coords, cfg.grid, cfg.sigma)
     tc = loss_tilde_curve(dec16, coords, xs, cfg.grid)
     want_g = float(np.max(np.abs(c_constant(dec16) * gc - tc)))
     np.testing.assert_allclose(records[0].sup_loss_gsure, want_g, rtol=1e-7)
