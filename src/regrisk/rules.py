@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
+import weakref
 
 import numpy as np
 
@@ -301,7 +303,31 @@ def d_constant(dec) -> float:
 
 # grid tables: columns follow the alpha values (an AlphaGrid or a 1-D
 # array; +inf slots take the analytic limit), each built in place in its
-# output array
+# output array. The residual weights and the df and gdf sums are built
+# once per decomposition and AlphaGrid and then shared, read-only, so
+# repeated single-draw calls skip them. The filter and estimation-weight
+# tables are built on each call: kept as well, they would hold three
+# (m, K)-sized tables per decomposition instead of one.
+
+_MEMO = weakref.WeakKeyDictionary()  # decomposition -> {key: table}
+_MEMO_LOCK = threading.Lock()
+
+
+def _memoized(name, build, dec, grid):
+    """build(alphas) for grid, kept per decomposition when grid is an
+    AlphaGrid (keyed by name and the grid's defining fields, so equal
+    grids share it) and returned read-only; other grids build afresh."""
+    if not isinstance(grid, AlphaGrid):
+        return build(_alpha_values(grid))
+    key = (name, grid.log10_min, grid.log10_max, grid.step, grid.includes_infinity)
+    with _MEMO_LOCK:
+        table = _MEMO.get(dec, {}).get(key)
+    if table is None:
+        table = build(_alpha_values(grid))
+        table.setflags(write=False)
+        with _MEMO_LOCK:
+            table = _MEMO.setdefault(dec, {}).setdefault(key, table)
+    return table
 
 
 def filter_table(dec, grid) -> np.ndarray:
@@ -311,8 +337,10 @@ def filter_table(dec, grid) -> np.ndarray:
 
 
 def prediction_weight_table(dec, grid) -> np.ndarray:
-    """(m, K) squared residual weights; rows beyond the rank are 1."""
-    return _prediction_weights(dec, _alpha_values(grid))
+    """(m, K) squared residual weights; rows beyond the rank are 1.
+
+    Shared per (decomposition, AlphaGrid) and read-only."""
+    return _memoized("W1", lambda a: _prediction_weights(dec, a), dec, grid)
 
 
 def estimation_weight_table(dec, grid) -> np.ndarray:
@@ -325,11 +353,10 @@ def estimation_weight_table(dec, grid) -> np.ndarray:
 SUM_BLOCK = 512  # grid columns per pass of the df and gdf sums
 
 
-def _rank_sums(term, dec, grid) -> np.ndarray:
+def _rank_sums(term, dec, a) -> np.ndarray:
     # Row i's terms are added to the sums in order i = 0, 1, ..., as
     # np.sum(axis=0) of the (r, K) term table adds them, but through one
     # SUM_BLOCK work row, so that table is never built.
-    a = _alpha_values(grid)
     out = np.zeros(a.size)
     work = np.empty(min(a.size, SUM_BLOCK))
     for s in range(0, a.size, SUM_BLOCK):
@@ -341,19 +368,25 @@ def _rank_sums(term, dec, grid) -> np.ndarray:
 
 
 def df_table(dec, grid) -> np.ndarray:
-    """(K,) degrees of freedom; 0 at +inf."""
-    return _rank_sums(_df_term, dec, grid)
+    """(K,) degrees of freedom; 0 at +inf.
+
+    Shared per (decomposition, AlphaGrid) and read-only."""
+    return _memoized("df", lambda a: _rank_sums(_df_term, dec, a), dec, grid)
 
 
 def gdf_table(dec, grid) -> np.ndarray:
-    """(K,) generalized degrees of freedom; 0 at +inf."""
-    return _rank_sums(_gdf_term, dec, grid)
+    """(K,) generalized degrees of freedom; 0 at +inf.
+
+    Shared per (decomposition, AlphaGrid) and read-only."""
+    return _memoized("gdf", lambda a: _rank_sums(_gdf_term, dec, a), dec, grid)
 
 
 def _expanded_sq_error(F, const, cross, quad):
     """sum_i w_i (x_i - F_i y_i)^2 along the grid, expanded: const = sum
-    w x^2, cross = w x y, quad = w y^2."""
-    return const - 2.0 * (cross @ F) + quad @ (F * F)
+    w x^2, cross = w x y, quad = w y^2. F, a freshly built filter table,
+    is squared in place."""
+    lin = cross @ F
+    return const - 2.0 * lin + quad @ np.multiply(F, F, out=F)
 
 
 def loss_l_curve(dec, coords, xstar_coords, grid) -> np.ndarray:
@@ -379,6 +412,10 @@ def oracle_error_curve(dec, coords, xstar_coords, grid, metric="l2_estimation"):
     """
     if metric not in ORACLE_METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {ORACLE_METRICS}")
+    if metric == "l2_prediction":
+        return np.sqrt(
+            np.maximum(dec.m * loss_l_curve(dec, coords, xstar_coords, grid), 0.0)
+        )
     xs_full = np.asarray(xstar_coords, dtype=float)
     y = coords.y_coords[: dec.r]
     F = filter_table(dec, grid)
@@ -386,13 +423,9 @@ def oracle_error_curve(dec, coords, xstar_coords, grid, metric="l2_estimation"):
         e2 = _expanded_sq_error(F, neumaier_sum(xs_full * xs_full),
                                 y * xs_full[: dec.r], y * y)
         return np.sqrt(np.maximum(e2, 0.0))
-    if metric == "l2_prediction":
-        return np.sqrt(
-            np.maximum(dec.m * loss_l_curve(dec, coords, xstar_coords, grid), 0.0)
-        )
     coeffs = np.zeros((dec.n, F.shape[1]))
-    coeffs[: dec.r] = F * y[:, None]
-    diff = dec.V @ (xs_full[:, None] - coeffs)
+    np.multiply(F, y[:, None], out=coeffs[: dec.r])
+    diff = dec.V @ np.subtract(xs_full[:, None], coeffs, out=coeffs)
     return np.sum(np.abs(diff), axis=0)
 
 

@@ -100,7 +100,8 @@ def decompose(A, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
     nonzero at working precision is positive; the paired right vector
     flips along so U @ diag(gammas) @ V.T still reconstructs A. Right
     vectors beyond the q-th (nullspace directions) get the same
-    convention on their own.
+    convention on their own. U, V and gammas come back read-only, since
+    rules shares tables built from them.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -126,6 +127,8 @@ def decompose(A, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
     else:
         r = 0
     cond = float(s[0] / s[r - 1]) if r > 0 else math.inf
+    for arr in (U, V, s):
+        arr.setflags(write=False)
     return SpectralDecomposition(U=U, V=V, gammas=s, r=r, cond=cond)
 
 

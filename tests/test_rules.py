@@ -1,9 +1,15 @@
+import gc
+import sys
+import threading
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from regrisk import rules, spectral
 from regrisk import (
     AlphaGrid,
     NumericError,
@@ -39,6 +45,7 @@ from regrisk import (
     psure_value,
     residual_norm_sq,
     select_by_minimization,
+    sup_deviation,
     to_spectral,
     trace_pinv_gram,
 )
@@ -255,6 +262,158 @@ def test_table_builders_peak_at_their_output_size():
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * out.nbytes, build.__name__
+
+
+# the memo of draw-independent tables
+
+
+def _count_table_builds(monkeypatch):
+    # names of the grid tables built from here on: a residual-weight table
+    # per W1 and a rank sum per df or gdf table; scalar residual weights
+    # (the discrepancy bisection) are not counted
+    builds = []
+    residual_weight, rank_sums = spectral._residual_weight, rules._rank_sums
+
+    def residual_weight_spy(g, a, out=None):
+        if np.ndim(a):
+            builds.append("W1")
+        return residual_weight(g, a, out=out)
+
+    def rank_sums_spy(term, dec, a):
+        builds.append(term.__name__)
+        return rank_sums(term, dec, a)
+
+    monkeypatch.setattr(spectral, "_residual_weight", residual_weight_spy)
+    monkeypatch.setattr(rules, "_rank_sums", rank_sums_spy)
+    return builds
+
+
+def _draw(problem, dec, seed):
+    rng = np.random.default_rng(seed)
+    y = problem.A @ problem.x_star + SIGMA * rng.standard_normal(problem.m)
+    return to_spectral(dec, y, problem.x_star)
+
+
+def test_single_draw_rules_build_each_table_once(problem16, monkeypatch):
+    dec = decompose(problem16.A)
+    builds = _count_table_builds(monkeypatch)
+
+    def dp_and_psure(seed):
+        # each call with a fresh but equal grid, which finds the same tables
+        coords = _draw(problem16, dec, seed)
+        return (dp_select(dec, coords, default_quadratic_grid(), SIGMA),
+                psure_select(dec, coords, default_quadratic_grid(), SIGMA))
+
+    first = dp_and_psure(1)
+    assert sorted(builds) == ["W1", "_df_term"]
+    assert dp_and_psure(1) == first
+    assert dp_and_psure(2) != first
+    assert sorted(builds) == ["W1", "_df_term"]
+
+
+def test_array_grids_are_built_on_every_call(problem16, monkeypatch):
+    dec = decompose(problem16.A)
+    grid = default_quadratic_grid()
+    builds = _count_table_builds(monkeypatch)
+    for build in (prediction_weight_table, df_table, gdf_table):
+        shared = build(dec, grid)
+        fresh = [build(dec, grid.values) for _ in range(2)]
+        for table in fresh:
+            assert table is not shared and table.flags.writeable
+            assert np.array_equal(table, shared)
+    assert builds == ["W1"] * 3 + ["_df_term"] * 3 + ["_gdf_term"] * 3
+
+
+def test_memoized_tables_are_read_only_and_shared(dec16):
+    grid = AlphaGrid(-3.0, 3.0, 0.5, includes_infinity=True)
+    for build in (prediction_weight_table, df_table, gdf_table):
+        table = build(dec16, grid)
+        assert build(dec16, AlphaGrid(-3.0, 3.0, 0.5, includes_infinity=True)) is table
+        assert build(dec16, AlphaGrid(-3.0, 3.0, 0.5)) is not table
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+def test_memo_entries_go_with_their_decomposition(problem16):
+    dec = decompose(problem16.A)
+    psure_select(dec, _draw(problem16, dec, 3), default_quadratic_grid(), SIGMA)
+    table = weakref.ref(prediction_weight_table(dec, default_quadratic_grid()))
+    assert dec in rules._MEMO
+    held = weakref.ref(dec)
+    del dec
+    gc.collect()
+    assert held() is None and table() is None
+
+
+def test_concurrent_first_calls_share_one_table(problem16):
+    # four threads racing to build each table on a cold memo all get the
+    # one that was stored first, not a copy of their own
+    dec = decompose(problem16.A)
+    grid = default_quadratic_grid()
+    start = threading.Barrier(4, timeout=60)
+
+    def race(build):
+        start.wait()
+        return build(dec, grid)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(race, build) for build in (
+                prediction_weight_table, df_table, gdf_table) for _ in range(4)]
+            tables = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({id(t) for t in tables}) == 3
+
+
+def _draw_outputs(dec, coords, grid):
+    xs = coords.xstar_coords
+    outputs = [oracle_select(dec, coords, xs, grid, metric)
+               for metric in ("l2_estimation", "l2_prediction", "l1")]
+    outputs += [loss_l_curve(dec, coords, xs, grid).tobytes(),
+                loss_tilde_curve(dec, coords, xs, grid).tobytes(),
+                sup_deviation(dec, coords, xs, grid, SIGMA)]
+    return outputs
+
+
+def test_cold_and_warm_memo_give_the_same_bits(problem16):
+    grid = default_quadratic_grid()
+    warm = decompose(problem16.A)
+    for seed in (4, 5):
+        coords = _draw(problem16, warm, seed)
+        for select in (dp_select, psure_select, gsure_select):
+            select(warm, coords, grid, SIGMA)
+    for seed in (4, 6):
+        cold = decompose(problem16.A)
+        assert (_draw_outputs(cold, _draw(problem16, cold, seed), grid)
+                == _draw_outputs(warm, _draw(problem16, warm, seed), grid))
+
+
+def test_warm_draw_allocates_at_most_one_table():
+    # with W1, df and gdf shared, a warm draw of the four rules builds the
+    # estimation weights and the oracle's filter table one after the
+    # other, and the oracle squares its filter table in place
+    problem = build_problem(64, 64, 0.06, SIGMA)
+    dec = decompose(problem.A)
+    grid = default_quadratic_grid()
+
+    def four_rules(seed):
+        coords = _draw(problem, dec, seed)
+        return (dp_select(dec, coords, grid, SIGMA),
+                psure_select(dec, coords, grid, SIGMA),
+                gsure_select(dec, coords, grid, SIGMA),
+                oracle_select(dec, coords, coords.xstar_coords, grid))
+
+    four_rules(0)
+    tracemalloc.start()
+    try:
+        four_rules(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * dec.m * len(grid) * 8
 
 
 def test_loss_curves_match_scalars(dec16, coords16):

@@ -51,6 +51,17 @@ def test_decompose_deterministic_sign_convention(problem16):
         assert lead > 0
 
 
+def test_decompose_returns_read_only_factors(wide_problem):
+    # tables built from a decomposition are shared, so it cannot be
+    # edited in place under them
+    dec = decompose(wide_problem.A)
+    for arr in (dec.U, dec.V, dec.gammas):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+
+
 def test_rank_and_cond_against_gram_eigenvalues(problem16, dec16):
     ev, r = gram_spectrum(problem16.A)
     assert dec16.r == r

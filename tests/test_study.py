@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -175,6 +176,43 @@ def test_quadratic_workers_bit_identical(problem16, dec16, monkeypatch):
     assert len(pools) == 1
     assert [dataclasses.asdict(r) for r in a] == [dataclasses.asdict(r) for r in b]
 
+
+
+def test_study_records_do_not_depend_on_a_warm_memo(problem16):
+    # the study takes W1, df and gdf from the memo that single-draw calls
+    # fill, and gets the bits of a run that builds them itself
+    cfg = small_config(grid=default_quadratic_grid(), n_draws=600)
+    warm = decompose(problem16.A)
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        y = problem16.A @ problem16.x_star + 0.1 * rng.standard_normal(16)
+        coords = to_spectral(warm, y, problem16.x_star)
+        grid = default_quadratic_grid()
+        dp_select(warm, coords, grid, 0.1)
+        psure_select(warm, coords, grid, 0.1)
+        gsure_select(warm, coords, grid, 0.1)
+        sup_deviation(warm, coords, coords.xstar_coords, grid, 0.1)
+    a = run_study(cfg, problem=problem16, dec=warm, workers=2)
+    b = run_study(cfg, problem=problem16, dec=decompose(problem16.A), workers=2)
+    assert [dataclasses.asdict(r) for r in a] == [dataclasses.asdict(r) for r in b]
+
+
+def test_threads_sharing_a_decomposition_select_alike(problem16):
+    # two threads may build the same table at once; they select what
+    # serial calls on a decomposition of their own select
+    rng = np.random.default_rng(12)
+    ys = [problem16.A @ problem16.x_star + 0.1 * rng.standard_normal(16)
+          for _ in range(8)]
+
+    def picker(dec):
+        def pick(y):
+            coords = to_spectral(dec, y, problem16.x_star)
+            return psure_select(dec, coords, default_quadratic_grid(), 0.1)
+        return pick
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(picker(decompose(problem16.A)), ys))
+    assert threaded == list(map(picker(decompose(problem16.A)), ys))
 
 
 def _study_rows_with_blas_threads(tmp_path, threads):
