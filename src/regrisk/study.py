@@ -2,13 +2,21 @@
 statistics, sup-deviation statistics and log-log rate fits.
 
 The quadratic path batches draws into fixed-size chunks and evaluates
-whole rule curves as matrix products against precomputed weight tables,
-so the per-draw cost is a handful of GEMMs. A chunk makes one pass over
-column blocks of the alpha grid: each block gets its GEMMs and its
-elementwise work in a few reused work arrays, and running reductions
-carry the sup deviations, the rule argmins (ties to the larger alpha),
-the count of negative discrepancies and the first non-finite entry of
-each checked matrix from block to block. Memory is O(chunk x block), and
+whole rule curves as matrix products against precomputed weight tables.
+A chunk makes one pass over column blocks of the alpha grid: each block
+gets its GEMMs and its elementwise work in a few reused work arrays, and
+running reductions carry the sup deviations, the rule argmins (ties to
+the larger alpha), the count of negative discrepancies and the first
+non-finite entry of each checked matrix from block to block.
+
+A block always gets two GEMMs: the residual sums behind psure, DP and
+the psure sup deviation, and the estimation-side sums behind sure and
+the gsure sup deviation. Only the oracle and loss tracking need the true
+error on the whole grid; for them the block also gets the cross and quad
+GEMMs of the true-error sweep against the filter-factor table (two more
+for the prediction loss). Without the sweep the filter table is not
+built, and each rule's recorded errors are computed from the filter
+factors at its pick, as DP's always are. Memory is O(chunk x block), and
 no (chunk x grid) array is built. The blocks are wide enough that the
 blocked products equal full-grid ones bit for bit (see _column_spans).
 After the pass the discrepancy roots of all draws of the chunk are
@@ -158,6 +166,11 @@ def _draw_noise_block(children, sigma, m) -> np.ndarray:
     return float(sigma) * eps
 
 
+def _true_error_sweep(cfg):
+    """Whether the chunks need the true error at every grid point."""
+    return "oracle" in cfg.rules or cfg.track_loss_closeness
+
+
 def _quadratic_tables(cfg, problem, dec):
     T = SimpleNamespace()
     grid = cfg.grid
@@ -169,7 +182,8 @@ def _quadratic_tables(cfg, problem, dec):
     T.g = dec.gammas[:r]
     T.W1 = prediction_weight_table(dec, grid)
     T.W2 = estimation_weight_table(dec, grid)
-    T.F = filter_table(dec, grid)
+    if _true_error_sweep(cfg):
+        T.F = filter_table(dec, grid)
     # the affine parts of psure and gsure and the expected data power; a
     # huge sigma or x* may overflow them, which the chunk's non-finite
     # checks report
@@ -227,23 +241,24 @@ def _block_argmin(blk, spare):
 
 class _RunningArgmin:
     """Row argmin over a sweep of column blocks, with the true error at
-    the chosen column carried along.
+    the chosen column carried along when the sweep computes it.
 
     As within a block, ties and NaN go to the larger alpha: a later block
     wins an equal value.
     """
 
-    def __init__(self, c):
+    def __init__(self, c, carry_err2=True):
         self.value = np.full(c, np.inf)
         self.index = np.zeros(c, dtype=np.intp)
-        self.err2 = np.zeros(c)
+        self.err2 = np.zeros(c) if carry_err2 else None
 
     def update(self, local, value, start, err2_blk):
         take = (value <= self.value) | np.isnan(value)
         self.value = np.where(take, value, self.value)
         self.index = np.where(take, start + local, self.index)
-        self.err2 = np.where(
-            take, err2_blk[np.arange(local.size), local], self.err2)
+        if self.err2 is not None:
+            self.err2 = np.where(
+                take, err2_blk[np.arange(local.size), local], self.err2)
 
 
 class _FirstNonFinite:
@@ -306,8 +321,9 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
     track = cfg.track_loss_closeness
     dp_on = "dp" in rules
     pred_on = track or oracle == "l2_prediction"
+    sweep = _true_error_sweep(cfg)
 
-    picks = {rule: _RunningArgmin(c)
+    picks = {rule: _RunningArgmin(c, carry_err2=sweep)
              for rule in ("oracle", "psure", "sure") if rule in rules}
     checks = (  # raised in this order, after the sweep
         _FirstNonFinite("prediction-risk estimate", c),
@@ -322,8 +338,10 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
 
     spans = _column_spans(K, c)
     width = max(b - a for a, b in spans)
-    work = np.empty((4 if track else 3, c * width))
-    squares = np.empty(r * width)  # F**2 of a block, the quad-term table
+    n_work = 4 if track else 3 if sweep else 2
+    work = np.empty((n_work, c * width))
+    if sweep:
+        squares = np.empty(r * width)  # F**2 of a block, the quad-term table
 
     # extreme inputs are allowed to overflow here; the non-finite checks
     # turn any inf/nan into a NumericError naming draw and alpha
@@ -333,15 +351,16 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
         Y2 = Yc * Yc
         Y2_t = Y2.T  # (c, m)
         Y2r_t = Y2[:r].T  # (c, r)
-        X = (Yc[:r] * T.xs_r[:, None]).T
+        if sweep:
+            X = (Yc[:r] * T.xs_r[:, None]).T
         if pred_on:
             Xp = (Yc[:r] * (T.g * T.g * T.xs_r)[:, None]).T
 
         # Each block's matrices are computed in place in the work rows,
         # in the same operation order as whole-grid expressions would use.
         for a, b in spans:
-            P, S, Q, *R = (row[: c * (b - a)].reshape(c, b - a) for row in work)
-            Fb = T.F[:, a:b]
+            P, S, Q, R = [row[: c * (b - a)].reshape(c, b - a)
+                          for row in work] + [None] * (4 - n_work)
             cand = {}
 
             np.matmul(Y2_t, T.W1[:, a:b], out=P)  # residual sums
@@ -359,7 +378,7 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
 
             if pred_on:
                 # m * prediction loss: c0_pred - 2 cross_pred + quad_pred
-                np.matmul(Xp, Fb, out=S)
+                np.matmul(Xp, T.F[:, a:b], out=S)
                 np.subtract(T.c0_pred, np.multiply(S, 2.0, out=S), out=S)
                 np.add(S, np.matmul(Y2r_t, T.gF2[:, a:b], out=Q), out=S)
                 if oracle == "l2_prediction":
@@ -378,26 +397,29 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
             if "sure" in picks:
                 cand["sure"] = _block_argmin(P, S)
 
-            np.multiply(np.matmul(X, Fb, out=S), 2.0, out=S)  # 2 cross
-            F2b = np.multiply(Fb, Fb, out=squares[: r * (b - a)].reshape(r, b - a))
-            np.matmul(Y2r_t, F2b, out=Q)  # quad
-            if track:
-                tilde = R[0]
-                np.subtract(T.c0_tilde, S, out=tilde)
-                np.multiply(np.add(tilde, Q, out=tilde), T.c_m, out=tilde)
-                np.subtract(np.multiply(P, T.c_m, out=P), tilde, out=P)
-                sup_loss_g = np.maximum(sup_loss_g, _rowmax_abs(P))
-            err2 = np.add(np.subtract(T.c0_est, S, out=S), Q, out=S)
-            np.maximum(err2, 0.0, out=err2)
-            checks[2].update(err2, a)
+            err2 = None
+            if sweep:  # the true error of the block: c0 - 2 cross + quad
+                Fb = T.F[:, a:b]
+                np.multiply(np.matmul(X, Fb, out=S), 2.0, out=S)  # 2 cross
+                F2b = np.multiply(
+                    Fb, Fb, out=squares[: r * (b - a)].reshape(r, b - a))
+                np.matmul(Y2r_t, F2b, out=Q)  # quad
+                if track:
+                    np.subtract(T.c0_tilde, S, out=R)
+                    np.multiply(np.add(R, Q, out=R), T.c_m, out=R)
+                    np.subtract(np.multiply(P, T.c_m, out=P), R, out=P)
+                    sup_loss_g = np.maximum(sup_loss_g, _rowmax_abs(P))
+                err2 = np.add(np.subtract(T.c0_est, S, out=S), Q, out=S)
+                np.maximum(err2, 0.0, out=err2)
+                checks[2].update(err2, a)
 
-            if oracle == "l2_estimation":
-                cand["oracle"] = _block_argmin(err2, Q)
-            elif oracle == "l1":  # physical reconstructions of the block
-                for j in range(c):
-                    diff = T.x_phys[:, None] - T.V_r @ (Fb * Yc[:r, j][:, None])
-                    Q[j] = np.sum(np.abs(diff), axis=0)
-                cand["oracle"] = _block_argmin(Q, P)
+                if oracle == "l2_estimation":
+                    cand["oracle"] = _block_argmin(err2, Q)
+                elif oracle == "l1":  # physical reconstructions of the block
+                    for j in range(c):
+                        diff = T.x_phys[:, None] - T.V_r @ (Fb * Yc[:r, j][:, None])
+                        Q[j] = np.sum(np.abs(diff), axis=0)
+                    cand["oracle"] = _block_argmin(Q, P)
             for rule, (local, value) in cand.items():
                 picks[rule].update(local, value, a, err2)
 
@@ -427,16 +449,34 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
         diff = T.x_phys[:, None] - T.V_r @ coeffs
         return np.sqrt(np.maximum(e2, 0.0)), np.sum(np.abs(diff), axis=0)
 
+    # _filter is elementwise, so the factors at a pick are the bits of
+    # that column of the filter table
     per_rule = {}
-    for rule, pick in picks.items():
-        _, e_l1 = errors_at_filters(T.F[:, pick.index])
-        per_rule[rule] = _grid_picks(vals, pick.index, np.sqrt(pick.err2), e_l1)
-    if dp_alpha is not None:
-        e_l2, e_l1 = errors_at_filters(_filter(T.g[:, None], dp_alpha))
-        per_rule["dp"] = (dp_alpha, e_l2, e_l1, dp_flag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rule, pick in picks.items():
+            e_l2, e_l1 = errors_at_filters(_filter(T.g[:, None], vals[pick.index]))
+            if sweep:
+                e_l2 = np.sqrt(pick.err2)
+            per_rule[rule] = _grid_picks(vals, pick.index, e_l2, e_l1)
+        if dp_alpha is not None:
+            e_l2, e_l1 = errors_at_filters(_filter(T.g[:, None], dp_alpha))
+            per_rule["dp"] = (dp_alpha, e_l2, e_l1, dp_flag)
+    if not sweep:
+        _check_errors_at_picks(per_rule, start_index)
     loss_sups = (sup_loss_p, sup_loss_g) if track else ()
     return _build_records(rules, per_rule, range(start_index, start_index + c),
                           sup_psure, sup_gsure, *loss_sups)
+
+
+def _check_errors_at_picks(per_rule, start_index):
+    """Without the sweep the true error is checked where it is recorded:
+    raise for the first draw with a non-finite error at a pick, naming
+    the smallest such alpha."""
+    bad = [(int(j), alphas[j]) for alphas, e_l2, *_ in per_rule.values()
+           for j in np.flatnonzero(~np.isfinite(e_l2))]
+    if bad:
+        j, alpha = min(bad)
+        raise _not_finite("true error", start_index + j, alpha)
 
 
 def _grid_picks(vals, idx, e_l2, e_l1):

@@ -54,6 +54,7 @@ from regrisk import (
     write_records_csv,
     c_constant,
 )
+from regrisk.rules import filter_table
 
 GRID = AlphaGrid(-12.0, 12.0, 0.05, includes_infinity=True)
 # 2402 columns: a chunk of more than CHUNK / 2 draws sweeps it in blocks
@@ -386,15 +387,83 @@ def test_first_non_finite_named_after_the_sweep(problem16, dec16):
     assert want is not None
     assert want[0] > 0
     assert want[1] >= study._column_spans(len(grid), n)[1][0]
-    # the study reports the overflow as a NumericError and warns nowhere
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericError) as info:
-            run_study(cfg, problem=problem, dec=dec16)
+    # the study reports the overflow as a NumericError and warns nowhere,
+    # whether or not it runs the true-error sweep
     j, k = want
+    for rules in (study.KNOWN_RULES, ("psure",)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError) as info:
+                run_study(dataclasses.replace(cfg, rules=rules),
+                          problem=problem, dec=dec16)
+        assert str(info.value) == (
+            f"prediction-risk estimate is not finite at draw {j}, "
+            f"alpha={grid.values[k]!r}")
+
+
+def test_non_finite_error_at_a_pick_is_named(problem16, dec16, monkeypatch):
+    # without the sweep the true error is checked at each rule's pick
+    cfg = small_config(rules=("psure",))
+    alpha = run_study(cfg, problem=problem16, dec=dec16)[3].outcomes[
+        "psure"].alpha_hat
+    real_filter = study._filter
+
+    def poisoned(g, a, out=None):
+        f = real_filter(g, a, out=out)
+        f[0, 3] = np.nan
+        return f
+
+    monkeypatch.setattr(study, "_filter", poisoned)
+    with pytest.raises(NumericError) as info:
+        run_study(cfg, problem=problem16, dec=dec16)
     assert str(info.value) == (
-        f"prediction-risk estimate is not finite at draw {j}, "
-        f"alpha={grid.values[k]!r}")
+        f"true error is not finite at draw 3, alpha={np.float64(alpha)!r}")
+
+
+def test_rules_without_the_oracle_record_the_same_study(problem16, dec16):
+    # psure-only and dp/psure/sure studies skip the true-error sweep and
+    # compute each pick's errors from its filter factors; across a chunk
+    # boundary and several column blocks they record what the all-rules
+    # study records, up to the rounding of the l2 error
+    cfg = small_config(grid=SEAM_GRID, n_draws=study.CHUNK + 37)
+    full = run_study(cfg, problem=problem16, dec=dec16)
+    for rules in (("psure",), ("dp", "psure", "sure")):
+        part = run_study(dataclasses.replace(cfg, rules=rules),
+                         problem=problem16, dec=dec16)
+        for a, b in zip(full, part, strict=True):
+            assert (a.sup_dev_psure, a.sup_dev_gsure) == (
+                b.sup_dev_psure, b.sup_dev_gsure)
+            for rule in rules:
+                fa, fb = a.outcomes[rule], b.outcomes[rule]
+                assert (fa.alpha_hat, fa.at_boundary, fa.error_l1) == (
+                    fb.alpha_hat, fb.at_boundary, fb.error_l1)
+                assert fb.error_l2 == pytest.approx(fa.error_l2, rel=1e-12)
+    threaded = run_study(dataclasses.replace(cfg, rules=("dp", "psure", "sure")),
+                         problem=problem16, dec=dec16, workers=3)
+    assert [dataclasses.asdict(r) for r in part] == [
+        dataclasses.asdict(r) for r in threaded]
+
+
+@pytest.mark.parametrize("kw, builds", [
+    (dict(rules=("psure",)), 0),
+    (dict(rules=("dp", "psure", "sure")), 0),
+    (dict(metric="l2_estimation"), 1),
+    (dict(metric="l2_prediction"), 1),
+    (dict(metric="l1"), 1),
+    (dict(rules=("psure",), track_loss_closeness=True), 1),
+])
+def test_filter_table_built_only_for_the_sweep(problem16, dec16, monkeypatch,
+                                               kw, builds):
+    calls = []
+
+    def counted(dec, grid):
+        calls.append(grid)
+        return filter_table(dec, grid)
+
+    monkeypatch.setattr(study, "filter_table", counted)
+    run_study(small_config(n_draws=study.CHUNK + 3, **kw), problem=problem16,
+              dec=dec16)
+    assert len(calls) == builds
 
 
 def test_study_memory_stays_below_one_chunk_matrix():
