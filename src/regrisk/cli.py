@@ -284,7 +284,7 @@ def _write_manifest(out_dir, command, config, outputs, started,
 def _load_or_build_problem(cfg, parser):
     if cfg.get("problem"):
         problem = load_problem(cfg["problem"])
-        for key, actual in (("m", problem.m), ("n", problem.n)):
+        for key, actual in (("m", problem.m), ("n", problem.n), ("l", problem.l)):
             if cfg.get(key) is not None and cfg[key] != actual:
                 parser.error(
                     f"{key}={cfg[key]} conflicts with the stored problem "

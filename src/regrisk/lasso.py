@@ -39,7 +39,7 @@ from numpy.linalg import LinAlgError
 from .accum import square
 from .errors import NumericError
 from .rules import _alpha_values
-from .spectral import DEFAULT_RANK_TOL, decompose, trace_pinv_gram
+from .spectral import decompose, trace_pinv_gram
 
 __all__ = [
     "AdmmParams",
@@ -146,13 +146,11 @@ def _as_data(A, y):
 
 
 def admm_all_at_once(A, y, grid, params: AdmmParams | None = None,
-                     adapt_rho: bool = True, start=None) -> LassoPath:
+                     start=None) -> LassoPath:
     """Solve min 0.5||Ax - y||^2 + alpha||x||_1 for every alpha at once.
 
     start is an optional (n, len(grid)) initial Z; the scaled dual then
     starts at its fixed point A^T (y - A Z) / rho. None starts from zero.
-    adapt_rho=False freezes the penalty parameter, which is only useful
-    for regression tests of the adaptation itself.
     """
     p = params if params is not None else AdmmParams()
     alphas = _as_alpha_array(grid)
@@ -212,15 +210,14 @@ def admm_all_at_once(A, y, grid, params: AdmmParams | None = None,
                 f"iterates diverged or their norms overflowed at iteration {k + 1}")
             exc.column = int(np.argmax(bad))
             raise exc
-        if adapt_rho:
-            if int(np.sum(rn > _MU * sn)) * 2 > n_alpha:
-                U = U / _TAU
-                rho = _TAU * rho
-                cho = factor(rho)
-            elif int(np.sum(sn > _MU * rn)) * 2 > n_alpha:
-                U = _TAU * U
-                rho = rho / _TAU
-                cho = factor(rho)
+        if int(np.sum(rn > _MU * sn)) * 2 > n_alpha:
+            U = U / _TAU
+            rho = _TAU * rho
+            cho = factor(rho)
+        elif int(np.sum(sn > _MU * rn)) * 2 > n_alpha:
+            U = _TAU * U
+            rho = rho / _TAU
+            cho = factor(rho)
         eps_pri = p.tol * (sqrt_n + xz)
         eps_dual = p.tol * (sqrt_n + rho * _column_norms(U))
         iterations = k + 1
@@ -421,9 +418,9 @@ def _gsure_aux(dec) -> GsureAux:
     )
 
 
-def gsure_aux(A, rank_tol: float = DEFAULT_RANK_TOL) -> GsureAux:
+def gsure_aux(A) -> GsureAux:
     """GsureAux of A, built from its singular system (see decompose)."""
-    return _gsure_aux(decompose(A, rank_tol))
+    return _gsure_aux(decompose(A))
 
 
 def lasso_risk_curves(A, y, Z, sigma, aux: GsureAux):

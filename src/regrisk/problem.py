@@ -81,17 +81,15 @@ def _check_width(l: float) -> None:
         raise ValueError(f"kernel half-width must lie in (0, 1/2], got {l}")
 
 
-def kernel_norm(l: float, quad_nodes: int = KERNEL_NORM_NODES) -> float:
+def kernel_norm(l: float) -> float:
     """Trapezoid approximation of the bump integral over [-l, l]."""
     _check_width(l)
-    if quad_nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
-    t = np.linspace(-l, l, quad_nodes)
+    t = np.linspace(-l, l, KERNEL_NORM_NODES)
     return float(np.trapezoid(_bump(t / l), t))
 
 
-def make_kernel(l: float, quad_nodes: int = KERNEL_NORM_NODES) -> KernelSpec:
-    return KernelSpec(l=l, norm_const=kernel_norm(l, quad_nodes))
+def make_kernel(l: float) -> KernelSpec:
+    return KernelSpec(l=l, norm_const=kernel_norm(l))
 
 
 def kernel_eval(t, spec: KernelSpec):

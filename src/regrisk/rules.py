@@ -5,13 +5,13 @@ terms, with v = y^2 for the risk estimates and v = E y^2 for the exact
 risks. One prediction-side and one estimation-side helper hold these
 formulas, and the weights come from the elementwise kernels of spectral,
 so a scalar evaluation and a whole-grid evaluation share the same weight
-algebra. Each risk is one function, the *_value estimates and the *_true
-exact risks alike: at a scalar alpha it returns a float summed with
-math.fsum, exactly rounded, and on a grid (an AlphaGrid or a 1-D alpha
-array) the whole curve at once, through matrix products with the
-*_table weights. Grids may carry a distinguished +inf point, which the
-kernels fill with the analytic limit, so downstream code never branches
-on it.
+algebra. Each risk and loss is one function, the *_value estimates, the
+*_true exact risks and the loss_* losses alike: at a scalar alpha it
+returns a float summed with math.fsum, exactly rounded, and on a grid
+(an AlphaGrid or a 1-D alpha array) the whole curve at once, through
+matrix products with the *_table weights. Grids may carry a
+distinguished +inf point, which the kernels fill with the analytic
+limit, so downstream code never branches on it.
 
 Selection is argmin over the grid with ties resolved toward the larger
 (more stabilized) alpha. The residual-discrepancy rule is the exception:
@@ -68,8 +68,6 @@ __all__ = [
     "estimation_weight_table",
     "df_table",
     "gdf_table",
-    "loss_l_curve",
-    "loss_tilde_curve",
     "oracle_error_curve",
     "select_by_minimization",
     "dp_select",
@@ -80,6 +78,7 @@ __all__ = [
 ]
 
 ORACLE_METRICS = ("l2_estimation", "l2_prediction", "l1")
+DP_REL_TOL = 1e-6  # relative bracket width at which a discrepancy root stops
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -263,23 +262,31 @@ def edp_true(dec, xstar_coords, alpha, sigma):
     return _prediction_side(dec, _prediction_fit(dec, e2, alpha), alpha, sigma, False)
 
 
-# per-realization losses
+# per-realization losses: at one alpha an exactly rounded sum, along a
+# grid the expanded square against the filter table
 
 
-def loss_l(dec, coords, xstar_coords, alpha) -> float:
+def loss_l(dec, coords, xstar_coords, alpha):
     """Mean squared prediction loss (1/m) sum (gamma x* - gamma f y)^2."""
-    f = filter_factors(dec, alpha)
     g = dec.gammas[: dec.r]
     xs = np.asarray(xstar_coords, dtype=float)[: dec.r]
     y = coords.y_coords[: dec.r]
+    if _on_grid(alpha):
+        gx = g * xs
+        return _expanded_sq_error(filter_table(dec, alpha), neumaier_sum(gx * gx),
+                                  y * gx * g, y * y * g * g) / dec.m
+    f = filter_factors(dec, alpha)
     return neumaier_sum((g * xs - g * f * y) ** 2) / dec.m
 
 
-def loss_tilde(dec, coords, xstar_coords, alpha) -> float:
+def loss_tilde(dec, coords, xstar_coords, alpha):
     """Scaled estimation loss c * ||projected(x* - x_hat)||^2."""
-    f = filter_factors(dec, alpha)
     xs = np.asarray(xstar_coords, dtype=float)[: dec.r]
     y = coords.y_coords[: dec.r]
+    if _on_grid(alpha):
+        return c_constant(dec) * _expanded_sq_error(
+            filter_table(dec, alpha), neumaier_sum(xs * xs), y * xs, y * y)
+    f = filter_factors(dec, alpha)
     return c_constant(dec) * neumaier_sum((xs - f * y) ** 2)
 
 
@@ -389,21 +396,6 @@ def _expanded_sq_error(F, const, cross, quad):
     return const - 2.0 * lin + quad @ np.multiply(F, F, out=F)
 
 
-def loss_l_curve(dec, coords, xstar_coords, grid) -> np.ndarray:
-    g = dec.gammas[: dec.r]
-    gx = g * np.asarray(xstar_coords, dtype=float)[: dec.r]
-    y = coords.y_coords[: dec.r]
-    return _expanded_sq_error(filter_table(dec, grid), neumaier_sum(gx * gx),
-                              y * gx * g, y * y * g * g) / dec.m
-
-
-def loss_tilde_curve(dec, coords, xstar_coords, grid) -> np.ndarray:
-    xs = np.asarray(xstar_coords, dtype=float)[: dec.r]
-    y = coords.y_coords[: dec.r]
-    return c_constant(dec) * _expanded_sq_error(
-        filter_table(dec, grid), neumaier_sum(xs * xs), y * xs, y * y)
-
-
 def oracle_error_curve(dec, coords, xstar_coords, grid, metric="l2_estimation"):
     """True error of the ridge estimate at every grid point.
 
@@ -414,7 +406,7 @@ def oracle_error_curve(dec, coords, xstar_coords, grid, metric="l2_estimation"):
         raise ValueError(f"unknown metric {metric!r}, expected one of {ORACLE_METRICS}")
     if metric == "l2_prediction":
         return np.sqrt(
-            np.maximum(dec.m * loss_l_curve(dec, coords, xstar_coords, grid), 0.0)
+            np.maximum(dec.m * loss_l(dec, coords, xstar_coords, grid), 0.0)
         )
     xs_full = np.asarray(xstar_coords, dtype=float)
     y = coords.y_coords[: dec.r]
@@ -472,14 +464,14 @@ def select_by_minimization(values, grid: AlphaGrid, rule: str = "custom") -> Rul
     )
 
 
-def dp_select(dec, coords, grid, sigma, rel_tol: float = 1e-6) -> RuleSelection:
+def dp_select(dec, coords, grid, sigma) -> RuleSelection:
     """Smallest alpha with nonnegative discrepancy, bisection-refined.
 
     The discrepancy is nondecreasing in alpha, so the first nonnegative
     grid value brackets the root with its predecessor; bisection then
-    narrows the bracket to rel_tol relative width. Degenerate cases are
-    flagged results, not errors: a nonnegative discrepancy already at
-    the grid minimum returns that point, and a discrepancy that stays
+    narrows the bracket to DP_REL_TOL relative width. Degenerate cases
+    are flagged results, not errors: a nonnegative discrepancy already
+    at the grid minimum returns that point, and a discrepancy that stays
     negative on the whole finite grid returns the last point (the +inf
     slot when the grid has one).
     """
@@ -494,7 +486,7 @@ def dp_select(dec, coords, grid, sigma, rel_tol: float = 1e-6) -> RuleSelection:
     idx = int(np.argmax(nonneg))
     lo = float(grid.values[idx - 1])
     hi = float(grid.values[idx])
-    while hi - lo > rel_tol * lo:
+    while hi - lo > DP_REL_TOL * lo:
         mid = 0.5 * (lo + hi)
         if dp_value(dec, coords, mid, sigma) >= 0.0:
             hi = mid

@@ -46,8 +46,8 @@ class SpectralDecomposition:
     """Full singular system of a forward matrix.
 
     gammas holds all q = min(m, n) singular values in descending order;
-    r counts those above rank_tol relative to the largest, and cond is
-    gamma_1 / gamma_r over that effective range.
+    r counts those above DEFAULT_RANK_TOL relative to the largest, and
+    cond is gamma_1 / gamma_r over that effective range.
     """
 
     U: np.ndarray
@@ -75,7 +75,6 @@ class SpectralCoords:
 
     y_coords: np.ndarray
     xstar_coords: np.ndarray
-    eps_coords: np.ndarray | None = None
 
 
 def check_alpha(alpha) -> float:
@@ -93,7 +92,7 @@ def _leads_negative(col) -> bool:
     return col[nz[0] if nz.size else 0] < 0
 
 
-def decompose(A, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
+def decompose(A) -> SpectralDecomposition:
     """Full SVD with a deterministic sign convention and effective rank.
 
     Each left singular vector is flipped so that its first entry that is
@@ -123,7 +122,7 @@ def decompose(A, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
         if _leads_negative(V[:, j]):
             V[:, j] = -V[:, j]
     if q > 0 and s[0] > 0:
-        r = int(np.sum(s > rank_tol * s[0]))
+        r = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
     else:
         r = 0
     cond = float(s[0] / s[r - 1]) if r > 0 else math.inf
@@ -132,7 +131,7 @@ def decompose(A, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
     return SpectralDecomposition(U=U, V=V, gammas=s, r=r, cond=cond)
 
 
-def to_spectral(dec: SpectralDecomposition, y, x_star, eps=None) -> SpectralCoords:
+def to_spectral(dec: SpectralDecomposition, y, x_star) -> SpectralCoords:
     """Project data and true solution onto the singular bases."""
     y = np.asarray(y, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
@@ -140,17 +139,7 @@ def to_spectral(dec: SpectralDecomposition, y, x_star, eps=None) -> SpectralCoor
         raise ValueError(f"y has shape {y.shape}, expected ({dec.m},)")
     if x_star.shape != (dec.n,):
         raise ValueError(f"x_star has shape {x_star.shape}, expected ({dec.n},)")
-    eps_coords = None
-    if eps is not None:
-        eps = np.asarray(eps, dtype=float)
-        if eps.shape != (dec.m,):
-            raise ValueError(f"eps has shape {eps.shape}, expected ({dec.m},)")
-        eps_coords = dec.U.T @ eps
-    return SpectralCoords(
-        y_coords=dec.U.T @ y,
-        xstar_coords=dec.V.T @ x_star,
-        eps_coords=eps_coords,
-    )
+    return SpectralCoords(y_coords=dec.U.T @ y, xstar_coords=dec.V.T @ x_star)
 
 
 # Elementwise ridge kernels on broadcastable (gamma, alpha) arrays. Each

@@ -15,10 +15,11 @@ the gsure sup deviation. Only the oracle and loss tracking need the true
 error on the whole grid; for them the block also gets the cross and quad
 GEMMs of the true-error sweep against the filter-factor table (two more
 for the prediction loss). Without the sweep the filter table is not
-built, and each rule's recorded errors are computed from the filter
-factors at its pick, as DP's always are. Memory is O(chunk x block), and
-no (chunk x grid) array is built. The blocks are wide enough that the
-blocked products equal full-grid ones bit for bit (see _column_spans).
+built. With or without it, every rule's recorded errors come from one
+expression: the filter factors at its pick, whether a grid point or
+DP's bisected root. Memory is O(chunk x block), and no (chunk x grid)
+array is built. The blocks are wide enough that the blocked products
+equal full-grid ones bit for bit (see _column_spans).
 After the pass the discrepancy roots of all draws of the chunk are
 bisected together, each draw with its own bracket and stopping rule.
 Chunk boundaries and the per-draw seed derivation are independent of the
@@ -56,6 +57,7 @@ from .lasso import (
 )
 from .problem import ProblemInstance, build_problem, problem_hash
 from .rules import (
+    DP_REL_TOL,
     AlphaGrid,
     ORACLE_METRICS,
     _argmin_larger,
@@ -240,25 +242,20 @@ def _block_argmin(blk, spare):
 
 
 class _RunningArgmin:
-    """Row argmin over a sweep of column blocks, with the true error at
-    the chosen column carried along when the sweep computes it.
+    """Row argmin over a sweep of column blocks.
 
     As within a block, ties and NaN go to the larger alpha: a later block
     wins an equal value.
     """
 
-    def __init__(self, c, carry_err2=True):
+    def __init__(self, c):
         self.value = np.full(c, np.inf)
         self.index = np.zeros(c, dtype=np.intp)
-        self.err2 = np.zeros(c) if carry_err2 else None
 
-    def update(self, local, value, start, err2_blk):
+    def update(self, local, value, start):
         take = (value <= self.value) | np.isnan(value)
         self.value = np.where(take, value, self.value)
         self.index = np.where(take, start + local, self.index)
-        if self.err2 is not None:
-            self.err2 = np.where(
-                take, err2_blk[np.arange(local.size), local], self.err2)
 
 
 class _FirstNonFinite:
@@ -284,24 +281,24 @@ class _FirstNonFinite:
                 self.name, start_index + j, grid.values[int(self.col[j])])
 
 
-def _dp_roots(g, Y2r, tails, msig2, lo, hi, rel_tol=1e-6):
+def _dp_roots(g, Y2r, tails, msig2, lo, hi):
     """Bisect the discrepancy of all draws of a chunk at once.
 
     Y2r is (r, c), lo/hi/tails are (c,). Every draw keeps its own bracket
-    and stops when that bracket is narrower than rel_tol * lo, so it sees
-    the midpoints of a one-draw bisection. Each draw's sum is a row @
-    column matmul against its own strided column of Y2r, the BLAS dot a
+    and stops when that bracket is narrower than DP_REL_TOL * lo, so it
+    sees the midpoints of a one-draw bisection. Each draw's sum is a row
+    @ column matmul against its own strided column of Y2r, the BLAS dot a
     one-draw `w @ y2` makes, so the signs and roots are the same as well.
     """
     y2 = Y2r.T[:, :, None]
-    active = hi - lo > rel_tol * lo
+    active = hi - lo > DP_REL_TOL * lo
     while np.any(active):
         mid = 0.5 * (lo + hi)
         w = _residual_weight(g[None, :], mid[:, None])
         up = np.matmul(w[:, None, :], y2)[:, 0, 0] + tails - msig2 >= 0.0
         hi = np.where(active & up, mid, hi)
         lo = np.where(active & ~up, mid, lo)
-        active = hi - lo > rel_tol * lo
+        active = hi - lo > DP_REL_TOL * lo
     return 0.5 * (lo + hi)
 
 
@@ -323,7 +320,7 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
     pred_on = track or oracle == "l2_prediction"
     sweep = _true_error_sweep(cfg)
 
-    picks = {rule: _RunningArgmin(c, carry_err2=sweep)
+    picks = {rule: _RunningArgmin(c)
              for rule in ("oracle", "psure", "sure") if rule in rules}
     checks = (  # raised in this order, after the sweep
         _FirstNonFinite("prediction-risk estimate", c),
@@ -397,7 +394,6 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
             if "sure" in picks:
                 cand["sure"] = _block_argmin(P, S)
 
-            err2 = None
             if sweep:  # the true error of the block: c0 - 2 cross + quad
                 Fb = T.F[:, a:b]
                 np.multiply(np.matmul(X, Fb, out=S), 2.0, out=S)  # 2 cross
@@ -421,7 +417,7 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
                         Q[j] = np.sum(np.abs(diff), axis=0)
                     cand["oracle"] = _block_argmin(Q, P)
             for rule, (local, value) in cand.items():
-                picks[rule].update(local, value, a, err2)
+                picks[rule].update(local, value, a)
 
     for check in checks:
         check.raise_first(start_index, grid)
@@ -454,24 +450,22 @@ def _quadratic_chunk(cfg, dec, T, children, start_index):
     per_rule = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for rule, pick in picks.items():
-            e_l2, e_l1 = errors_at_filters(_filter(T.g[:, None], vals[pick.index]))
-            if sweep:
-                e_l2 = np.sqrt(pick.err2)
-            per_rule[rule] = _grid_picks(vals, pick.index, e_l2, e_l1)
+            per_rule[rule] = _grid_picks(vals, pick.index, *errors_at_filters(
+                _filter(T.g[:, None], vals[pick.index])))
         if dp_alpha is not None:
-            e_l2, e_l1 = errors_at_filters(_filter(T.g[:, None], dp_alpha))
-            per_rule["dp"] = (dp_alpha, e_l2, e_l1, dp_flag)
-    if not sweep:
-        _check_errors_at_picks(per_rule, start_index)
+            per_rule["dp"] = (dp_alpha, *errors_at_filters(
+                _filter(T.g[:, None], dp_alpha)), dp_flag)
+    _check_errors_at_picks(per_rule, start_index)
     loss_sups = (sup_loss_p, sup_loss_g) if track else ()
     return _build_records(rules, per_rule, range(start_index, start_index + c),
                           sup_psure, sup_gsure, *loss_sups)
 
 
 def _check_errors_at_picks(per_rule, start_index):
-    """Without the sweep the true error is checked where it is recorded:
-    raise for the first draw with a non-finite error at a pick, naming
-    the smallest such alpha."""
+    """Check the true error where it is recorded: raise for the first
+    draw with a non-finite error at a pick, naming the smallest such
+    alpha. Every study runs it, after the sweep's check of the whole
+    grid when there is a sweep."""
     bad = [(int(j), alphas[j]) for alphas, e_l2, *_ in per_rule.values()
            for j in np.flatnonzero(~np.isfinite(e_l2))]
     if bad:

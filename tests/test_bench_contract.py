@@ -4,7 +4,8 @@ The workloads and the correctness gate call the public API as rr.<name>,
 and the tracer keys its per-layer metrics on span names "<layer>.<name>"
 of public functions. A rename in the library would break a workload or,
 worse, silently zero a per-layer metric, so these tests read the
-perfbench sources and check every such name against regrisk.
+perfbench sources and check every such name against regrisk, and every
+rr.<name>(...) call against the signature of the function it calls.
 """
 
 import ast
@@ -62,6 +63,39 @@ def test_every_rr_name_exists(source):
     assert names, f"no rr.<name> read in perfbench/{source}"
     missing = [name for name in names if not hasattr(regrisk, name)]
     assert not missing, f"perfbench/{source} reads missing names {missing}"
+
+
+def _dict_keys():
+    """Keys of the module-level dict literals of the workloads and the
+    gate, which calls unpack into keyword arguments (**QUAD)."""
+    keys = {}
+    for source in ("workloads.py", "gate.py"):
+        for node in _tree(source).body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+                for target in node.targets:
+                    keys[target.id] = [key.value for key in node.value.keys]
+    return keys
+
+
+@pytest.mark.parametrize("source", ["workloads.py", "gate.py"])
+def test_every_rr_call_binds_to_the_library_signature(source):
+    # removing or renaming a parameter the benchmark passes fails here,
+    # not first in a benchmark run
+    dicts = _dict_keys()
+    calls = [node for node in ast.walk(_tree(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "rr"]
+    assert calls, f"no rr.<name>(...) call in perfbench/{source}"
+    for call in calls:
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        names = []
+        for kw in call.keywords:
+            names += [kw.arg] if kw.arg else dicts[kw.value.id]
+        signature = inspect.signature(getattr(regrisk, call.func.attr))
+        try:
+            signature.bind(*call.args, **dict.fromkeys(names))
+        except TypeError as exc:
+            pytest.fail(f"perfbench/{source}:{call.lineno} rr.{call.func.attr}: {exc}")
 
 
 def test_every_traced_span_is_a_public_function_of_its_layer():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from regrisk import build_problem, load_problem, read_records_csv
+from regrisk import build_problem, load_problem, read_records_csv, save_problem
 from regrisk import cli, study
 from regrisk.cli import build_parser, load_config_file, main
 
@@ -108,11 +108,20 @@ def test_run_study_from_stored_problem(tmp_path, capsys):
     build_manifest = json.loads((tmp_path / "manifest.json").read_text())
     study_manifest = json.loads((out_dir / "manifest.json").read_text())
     assert study_manifest["problem_hash"] == build_manifest["problem_hash"]
-    # stored dimensions win; contradicting them is a usage error
+
+
+@pytest.mark.parametrize("option, value", [("--m", 32), ("--l", 0.2)])
+def test_options_contradicting_a_stored_problem_exit_with_usage_status(
+        tmp_path, capsys, option, value):
+    save_problem(build_problem(16, 16, 0.06, 0.1), tmp_path / "problem.npz")
     with pytest.raises(SystemExit) as exc:
         run_cli("run-study", "--problem", tmp_path / "problem.npz",
-                "--m", 32, "--draws", 2, "--out", out_dir)
+                option, value, "--draws", 2, "--out", tmp_path)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{option[2:]}={value} conflicts with the stored problem" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "records.csv").exists()
 
 
 @pytest.mark.parametrize("command, option, value", [

@@ -108,11 +108,13 @@ def test_per_alpha_agrees_with_all_at_once():
     np.testing.assert_allclose(single.Z, joint.Z, atol=1e-7)
 
 
-def test_rho_adaptation_does_not_change_solutions():
+def test_rho_adaptation_does_not_change_solutions(monkeypatch):
     A, y, _ = make_lasso_instance(7)
     alphas = alpha_span(A, y, 6)
-    adapted = admm_all_at_once(A, y, alphas, adapt_rho=True)
-    fixed = admm_all_at_once(A, y, alphas, adapt_rho=False)
+    adapted = admm_all_at_once(A, y, alphas)
+    monkeypatch.setattr(lasso, "_TAU", 1.0)  # rho moves by a factor of 1
+    fixed = admm_all_at_once(A, y, alphas)
+    assert fixed.final_rho == 1.0 and adapted.final_rho != 1.0
     np.testing.assert_allclose(adapted.Z, fixed.Z, atol=1e-9)
 
 

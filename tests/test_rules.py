@@ -32,9 +32,7 @@ from regrisk import (
     gsure_select,
     gsure_value,
     loss_l,
-    loss_l_curve,
     loss_tilde,
-    loss_tilde_curve,
     msee_true,
     mspe_true,
     oracle_error_curve,
@@ -372,8 +370,8 @@ def _draw_outputs(dec, coords, grid):
     xs = coords.xstar_coords
     outputs = [oracle_select(dec, coords, xs, grid, metric)
                for metric in ("l2_estimation", "l2_prediction", "l1")]
-    outputs += [loss_l_curve(dec, coords, xs, grid).tobytes(),
-                loss_tilde_curve(dec, coords, xs, grid).tobytes(),
+    outputs += [loss_l(dec, coords, xs, grid).tobytes(),
+                loss_tilde(dec, coords, xs, grid).tobytes(),
                 sup_deviation(dec, coords, xs, grid, SIGMA)]
     return outputs
 
@@ -419,8 +417,8 @@ def test_warm_draw_allocates_at_most_one_table():
 def test_loss_curves_match_scalars(dec16, coords16):
     grid = AlphaGrid(-4.0, 4.0, 1.0, includes_infinity=True)
     xs = coords16.xstar_coords
-    lc = loss_l_curve(dec16, coords16, xs, grid)
-    tc = loss_tilde_curve(dec16, coords16, xs, grid)
+    lc = loss_l(dec16, coords16, xs, grid)
+    tc = loss_tilde(dec16, coords16, xs, grid)
     for k, a in enumerate(grid.values):
         np.testing.assert_allclose(
             lc[k], loss_l(dec16, coords16, xs, a), rtol=1e-10, atol=1e-14)
