@@ -6,7 +6,9 @@ averaging the kernel over cell pairs yields a forward matrix whose rows
 are exact translates of each other when the two grids coincide, so the
 square case is circulant. The sqrt(m*n) scaling makes the largest
 singular value equal to 1 (up to quadrature error), which pins the
-conditioning to the kernel width alone.
+conditioning to the kernel width alone. Only cell pairs within reach of
+the kernel are integrated, so set-up cost grows with the kernel's
+support, not with m*n.
 """
 
 from __future__ import annotations
@@ -68,6 +70,12 @@ class ProblemInstance:
     n: int
     l: float
 
+    def __post_init__(self):
+        for name, want in (("A", (self.m, self.n)), ("x_star", (self.n,))):
+            got = np.shape(getattr(self, name))
+            if got != want:
+                raise ValueError(f"{name} has shape {got}, not {want}")
+
 
 def _bump(u):
     """exp(-1/(1 - u^2)) on |u| < 1, exactly 0 outside (u is t/l)."""
@@ -117,22 +125,27 @@ def _cell_integral(i: int, j: int, m: int, n: int, spec: KernelSpec) -> float:
 def build_forward_matrix(m: int, n: int, l: float) -> np.ndarray:
     """Cell-averaged convolution matrix, scaled by sqrt(m*n).
 
-    For m == n only the first row is integrated; the remaining rows are
-    index-shifted copies (the grids align, so the operator is circulant).
-    Unequal grids fall back to integrating every cell pair.
+    Only the cell pairs the kernel reaches are integrated. Every node
+    difference of a pair lies within 1/(2m) + 1/(2n) of the difference
+    of the two cell centres, so a pair whose centres lie at least
+    l + 1/m + 1/n apart (mod 1) sees the kernel only off its support and
+    keeps the exact +0.0. For m == n only the first row is integrated;
+    the remaining rows are index-shifted copies (the grids align, so the
+    operator is circulant).
     """
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
     spec = make_kernel(l)
     scale = math.sqrt(m * n)
+    rows = 1 if m == n else m
+    gap = (np.arange(rows)[:, None] + 0.5) / m - (np.arange(n) + 0.5) / n
+    reached = np.abs(gap - np.round(gap)) < l + 1.0 / m + 1.0 / n
+    A = np.zeros((rows, n))
+    for i, j in zip(*np.nonzero(reached)):
+        A[i, j] = _cell_integral(int(i), int(j), m, n, spec)
     if m == n:
-        row = np.array([_cell_integral(0, j, m, n, spec) for j in range(n)])
         idx = (np.arange(n)[None, :] - np.arange(m)[:, None]) % n
-        return scale * row[idx]
-    A = np.empty((m, n))
-    for i in range(m):
-        for j in range(n):
-            A[i, j] = _cell_integral(i, j, m, n, spec)
+        return scale * A[0][idx]
     A *= scale
     return A
 
@@ -198,13 +211,16 @@ def load_problem(path) -> ProblemInstance:
         missing = {"dims", "params", "A", "x_star"} - set(data.files)
         if missing:
             raise ValueError(f"{path} is not a stored problem: no {sorted(missing)}")
-        m, n = (int(v) for v in data["dims"])
-        l, sigma = (float(v) for v in data["params"])
-        return ProblemInstance(
-            A=np.array(data["A"]),
-            x_star=np.array(data["x_star"]),
-            sigma=sigma,
-            m=m,
-            n=n,
-            l=l,
-        )
+        try:
+            m, n = (int(v) for v in data["dims"])
+            l, sigma = (float(v) for v in data["params"])
+            return ProblemInstance(
+                A=np.array(data["A"]),
+                x_star=np.array(data["x_star"]),
+                sigma=sigma,
+                m=m,
+                n=n,
+                l=l,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path} is not a stored problem: {exc}") from exc

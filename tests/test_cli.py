@@ -293,18 +293,23 @@ def test_version_and_unknown_rule(capsys):
     ("run-study", "--problem", "missing.npz"),
     ("stats", "--records", "missing.csv"),
     ("run-study", "--problem", "partial.npz"),
+    ("run-study", "--problem", "mismatched.npz", "--draws", 4),
     ("run-study", "--problem", "empty.csv"),
     ("stats", "--records", "empty.csv"),
     ("stats", "--records", "other.csv"),
     ("run-study", "--m", 16, "--n", 16, "--l", 0.06, "--sigma", 0.1,
      "--out", "empty.csv"),  # caught before the study runs
 ], ids=["l-out-of-range", "negative-sigma", "sizes-too-small", "m-too-small",
-        "missing-problem", "missing-records", "not-a-problem", "empty-problem",
-        "empty-records", "not-records", "out-is-a-file"])
+        "missing-problem", "missing-records", "not-a-problem",
+        "dims-contradict-arrays", "empty-problem", "empty-records",
+        "not-records", "out-is-a-file"])
 def test_rejected_input_exits_with_usage_status(tmp_path, capsys, monkeypatch,
                                                 args):
     monkeypatch.chdir(tmp_path)
     np.savez("partial.npz", A=np.eye(3))
+    small = build_problem(32, 32, 0.06, 0.1)
+    np.savez("mismatched.npz", A=small.A, x_star=small.x_star,
+             dims=np.array([64, 64]), params=np.array([0.06, 0.1]))
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "other.csv").write_text("draw_index,dp_alpha\n0,1.0\n")
     inputs = set(tmp_path.iterdir())

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from regrisk import problem
 from regrisk import (
+    ProblemInstance,
     build_forward_matrix,
     build_problem,
     build_true_solution,
@@ -84,6 +86,69 @@ def test_forward_matrix_rectangular_shape_and_content():
     assert abs(A[2, 5] - scale * _cell_integral(2, 5, m, n, spec)) < 1e-13
 
 
+def _forward_matrix_integrating_every_pair(m, n, l):
+    # the build without the reach test: the whole first row when square,
+    # every cell pair otherwise
+    spec = make_kernel(l)
+    scale = math.sqrt(m * n)
+    if m == n:
+        row = np.array([_cell_integral(0, j, m, n, spec) for j in range(n)])
+        idx = (np.arange(n)[None, :] - np.arange(m)[:, None]) % n
+        return scale * row[idx]
+    A = np.empty((m, n))
+    for i in range(m):
+        for j in range(n):
+            A[i, j] = _cell_integral(i, j, m, n, spec)
+    A *= scale
+    return A
+
+
+@pytest.mark.parametrize("m, n, l", [
+    (12, 12, 0.06), (64, 64, 0.01), (7, 11, 0.06), (11, 7, 0.01),
+    (24, 40, 0.01), (1, 9, 0.06), (9, 1, 0.01), (1, 1, 0.01),
+    (16, 16, 0.5), (6, 9, 0.5),
+])
+def test_forward_matrix_skips_only_zero_cell_pairs(monkeypatch, m, n, l):
+    integrated = set()
+
+    def spy(i, j, *args):
+        integrated.add((i, j))
+        return _cell_integral(i, j, *args)
+
+    monkeypatch.setattr(problem, "_cell_integral", spy)
+    A = build_forward_matrix(m, n, l)
+    monkeypatch.undo()
+    assert A.tobytes() == _forward_matrix_integrating_every_pair(m, n, l).tobytes()
+    pairs = {(i, j) for i in range(1 if m == n else m) for j in range(n)}
+    skipped = pairs - integrated
+    if l == 0.5:
+        assert not skipped
+    elif min(m, n) > 1:
+        assert skipped
+    for i, j in skipped:
+        # square: the entry and its circulant copies A[r, (j + r) % n]
+        rows = np.arange(m) if m == n else np.array([i])
+        cells = A[rows, (j - i + rows) % n]
+        assert np.all(cells == 0.0) and not np.any(np.signbit(cells))
+
+
+@pytest.mark.parametrize("m, n, l, digest", [
+    (16, 16, 0.06,
+     "d0803f48e7cc82313bbb56517064c0b068925b19c60959cc8ce0e1454474f05b"),
+    (32, 32, 0.04,
+     "081848ebcca363828dfbc84955999cf460301e01998a3d476af9811da27ad8ec"),
+    (64, 64, 0.06,
+     "53563eb275a6e455963342b9f60b2e394fb35dcd913f2ec9262290e5203bb7f5"),
+    (512, 512, 0.06,
+     "098e99427abb33a3735a9df3405cd06177860568350b7a3d8c328171106dd92a"),
+    (12, 20, 0.06,
+     "5b9da821a5fc9b5b0c7302b7afebc619ec3e901952507021500098fe75570f04"),
+])
+def test_problem_hash_pinned(m, n, l, digest):
+    # the bits every study, record file and benchmark reference starts from
+    assert problem_hash(build_problem(m, n, l, 0.1)) == digest
+
+
 def test_forward_matrix_rows_sum_to_sqrt_ratio():
     # cell integrals over j tile the full period, so each row sums to
     # sqrt(mn) * (1/m) integral of the kernel = sqrt(n/m)
@@ -139,3 +204,26 @@ def test_problem_hash_sensitive_to_inputs(problem16):
     assert problem_hash(other) != problem_hash(problem16)
     noisier = build_problem(16, 16, 0.06, 0.2)
     assert problem_hash(noisier) != problem_hash(problem16)
+
+
+@pytest.mark.parametrize("A_shape, x_shape", [
+    ((32, 32), (32,)), ((64, 64), (32,)),
+])
+def test_arrays_contradicting_dims_are_rejected(tmp_path, A_shape, x_shape):
+    with pytest.raises(ValueError, match="has shape"):
+        ProblemInstance(A=np.zeros(A_shape), x_star=np.zeros(x_shape),
+                        sigma=0.1, m=64, n=64, l=0.06)
+    path = tmp_path / "bad.npz"
+    np.savez(path, A=np.zeros(A_shape), x_star=np.zeros(x_shape),
+             dims=np.array([64, 64]), params=np.array([0.06, 0.1]))
+    with pytest.raises(ValueError,
+                       match="bad.npz is not a stored problem: .* has shape"):
+        load_problem(path)
+
+
+def test_malformed_dims_name_the_file(tmp_path):
+    path = tmp_path / "dims3.npz"
+    np.savez(path, A=np.zeros((4, 4)), x_star=np.zeros(4),
+             dims=np.array([4, 4, 4]), params=np.array([0.06, 0.1]))
+    with pytest.raises(ValueError, match="dims3.npz is not a stored problem"):
+        load_problem(path)

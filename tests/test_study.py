@@ -178,6 +178,22 @@ def test_quadratic_workers_bit_identical(problem16, dec16, monkeypatch):
     assert [dataclasses.asdict(r) for r in a] == [dataclasses.asdict(r) for r in b]
 
 
+@pytest.mark.parametrize("chunk", [64, 200])
+def test_chunk_size_keeps_selections_and_errors(problem16, dec16, monkeypatch,
+                                                chunk):
+    # CHUNK sets the GEMM shapes, so the sup deviations may move in their
+    # last bits; selections and errors come from the same per-draw
+    # expressions whatever the chunk
+    cfg = small_config(grid=default_quadratic_grid(), n_draws=600)
+    a = run_study(cfg, problem=problem16, dec=dec16)
+    monkeypatch.setattr(study, "CHUNK", chunk)
+    b = run_study(cfg, problem=problem16, dec=dec16)
+    assert [r.outcomes for r in a] == [r.outcomes for r in b]
+    for ra, rb in zip(a, b):
+        for sup in ("sup_dev_psure", "sup_dev_gsure"):
+            assert getattr(rb, sup) == pytest.approx(
+                getattr(ra, sup), rel=1e-13, abs=0.0)
+
 
 def test_study_records_do_not_depend_on_a_warm_memo(problem16):
     # the study takes W1, df and gdf from the memo that single-draw calls
