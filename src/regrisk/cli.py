@@ -36,12 +36,10 @@ from ._version import __version__
 from .errors import NumericError
 from .lasso import (
     AdmmParams,
-    admm_all_at_once,
-    admm_per_alpha,
     gsure_aux,
     lasso_dp_index,
-    lasso_homotopy,
     lasso_risk_curves,
+    lasso_solve,
 )
 from .problem import build_problem, load_problem, problem_hash, save_problem
 from .rules import (
@@ -498,23 +496,21 @@ def _demo_quadratic(problem, y, out_rows):
 
 def _demo_lasso(problem, y, out_rows):
     A, sigma = problem.A, problem.sigma
-    vals = default_lasso_grid().values
     aux = gsure_aux(A)
-    # as the l1 study does: ADMM certifies the exact path
-    Z_log = admm_all_at_once(A, y, vals, start=lasso_homotopy(A, y, vals).Z).Z
-    res2, _, gsure_log = lasso_risk_curves(A, y, Z_log, sigma, aux)
-    alpha_dp = float(vals[lasso_dp_index(res2, problem.m, sigma)])
 
-    def pick(kind, alphas, Z, gsure):
+    def curves(alphas):
+        Z = lasso_solve(A, y, alphas)[0].Z
         diff = problem.x_star[:, None] - Z
-        return _demo_pick(out_rows, kind, alphas, gsure,
-                          np.sqrt(np.einsum("ij,ij->j", diff, diff)))
+        return (*lasso_risk_curves(A, y, Z, sigma, aux),
+                np.sqrt(np.einsum("ij,ij->j", diff, diff)))
 
+    vals = default_lasso_grid().values
+    res2, _, gsure_log, err_log = curves(vals)
+    alpha_dp = float(vals[lasso_dp_index(res2, problem.m, sigma)])
     lin_alphas = alpha_dp / 10.0 * np.arange(1, 21)
-    Z_lin = admm_per_alpha(A, y, lin_alphas, n_iter=20).Z
-    lin = pick("linear", lin_alphas, Z_lin,
-               lasso_risk_curves(A, y, Z_lin, sigma, aux)[2])
-    log = pick("log", vals, Z_log, gsure_log)
+    _, _, gsure_lin, err_lin = curves(lin_alphas)
+    lin = _demo_pick(out_rows, "linear", lin_alphas, gsure_lin, err_lin)
+    log = _demo_pick(out_rows, "log", vals, gsure_log, err_log)
     return alpha_dp, lin, log
 
 

@@ -21,11 +21,11 @@ its tolerance. Solutions are taken from Z, whose zeros are exact by
 construction of the thresholding step.
 
 The lasso solution is piecewise linear in alpha, and lasso_homotopy
-follows that path exactly from kink to kink. Its grid columns serve as
-a warm start: started at a KKT point with the scaled dual at its fixed
-point, the x-update returns the start itself and the residuals measure
-the KKT violation, so the stopping rule certifies an exact start in one
-iteration and a defective one only costs iterations.
+follows that path exactly from kink to kink. lasso_solve uses its grid
+columns as the warm start: started at a KKT point with the scaled dual
+at its fixed point, the x-update returns the start itself and the
+residuals measure the KKT violation, so the stopping rule certifies an
+exact start in one iteration and a defective one only costs iterations.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ __all__ = [
     "GsureAux",
     "soft_threshold",
     "admm_all_at_once",
-    "admm_per_alpha",
     "lasso_homotopy",
+    "lasso_solve",
     "lasso_df",
     "lasso_gdf",
     "gsure_aux",
@@ -84,18 +84,13 @@ class LassoPath:
     """Per-column solutions and diagnostics of one solver run.
 
     Z holds the sparse iterates (one column per penalty value, hard
-    zeros), X the auxiliary iterates. converged_flags marks columns
-    whose final residuals met the tolerance; hitting max_iter leaves
-    flags False rather than raising.
+    zeros). converged_flags marks columns whose final residuals met the
+    tolerance; hitting max_iter leaves flags False rather than raising.
     """
 
     Z: np.ndarray
-    X: np.ndarray
-    alphas: np.ndarray
     iterations_used: int
     converged_flags: np.ndarray
-    primal_residuals: np.ndarray
-    dual_residuals: np.ndarray
     final_rho: float
 
 
@@ -176,7 +171,6 @@ def admm_all_at_once(A, y, grid, params: AdmmParams | None = None,
     cho = factor(rho)
     B = np.broadcast_to(Aty[:, None], (n, n_alpha))
 
-    X = np.zeros((n, n_alpha))
     if start is None:
         Z = np.zeros((n, n_alpha))
         U = np.zeros((n, n_alpha))
@@ -226,45 +220,9 @@ def admm_all_at_once(A, y, grid, params: AdmmParams | None = None,
 
     return LassoPath(
         Z=Z,
-        X=X,
-        alphas=alphas,
         iterations_used=iterations,
         converged_flags=(rn < eps_pri) & (sn < eps_dual),
-        primal_residuals=rn,
-        dual_residuals=sn,
         final_rho=rho,
-    )
-
-
-def admm_per_alpha(A, y, grid, params: AdmmParams | None = None,
-                   n_iter: int = 20) -> LassoPath:
-    """Baseline variant: an independent ADMM run per penalty value, with
-    a fixed iteration budget.
-
-    Every column gets its own rho trajectory and runs exactly n_iter
-    iterations unless its residuals pass the tolerance first. At the
-    small default budget this is deliberately inexact; it exists to
-    demonstrate the inconsistencies across the grid that the shared
-    all-at-once trajectory avoids.
-    """
-    p = dataclasses.replace(
-        params if params is not None else AdmmParams(), max_iter=n_iter)
-    alphas = _as_alpha_array(grid)
-    runs = []
-    for j, alpha in enumerate(alphas):
-        try:
-            runs.append(admm_all_at_once(A, y, alphas[j:j + 1], p))
-        except NumericError as exc:
-            raise NumericError(f"{exc} (alpha={alpha})") from exc
-    return LassoPath(
-        Z=np.hstack([run.Z for run in runs]),
-        X=np.hstack([run.X for run in runs]),
-        alphas=alphas,
-        iterations_used=max(run.iterations_used for run in runs),
-        converged_flags=np.concatenate([run.converged_flags for run in runs]),
-        primal_residuals=np.concatenate([run.primal_residuals for run in runs]),
-        dual_residuals=np.concatenate([run.dual_residuals for run in runs]),
-        final_rho=runs[-1].final_rho,
     )
 
 
@@ -363,6 +321,18 @@ def lasso_homotopy(A, y, grid) -> HomotopyPath:
     complete = pos == alphas.size
     Z[:, desc[pos:]] = x[:, None]
     return HomotopyPath(Z=Z, kinks=np.array(kinks), complete=complete)
+
+
+def lasso_solve(A, y, grid, params: AdmmParams | None = None
+                ) -> tuple[LassoPath, int]:
+    """Lasso solutions on the grid: the exact path of lasso_homotopy,
+    certified by admm_all_at_once started from it.
+
+    Returns the LassoPath and the number of kinks on the homotopy path.
+    """
+    homotopy = lasso_homotopy(A, y, grid)
+    path = admm_all_at_once(A, y, grid, params, start=homotopy.Z)
+    return path, homotopy.kinks.size
 
 
 def lasso_df(z) -> int:

@@ -168,9 +168,10 @@ def build_true_solution(n: int) -> np.ndarray:
 
 def build_problem(m: int, n: int, l: float, sigma: float) -> ProblemInstance:
     """Assemble matrix and spikes into one instance. sigma = 0 is allowed
-    for noiseless experiments; negative values are rejected."""
-    if sigma < 0:
-        raise ValueError("noise level must be nonnegative")
+    for noiseless experiments; negative and non-finite values are
+    rejected."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("noise level must be finite and nonnegative")
     A = build_forward_matrix(m, n, l)
     return ProblemInstance(
         A=A, x_star=build_true_solution(n), sigma=float(sigma), m=m, n=n, l=l

@@ -50,10 +50,9 @@ from .errors import NumericError
 from .lasso import (
     AdmmParams,
     _gsure_aux,
-    admm_all_at_once,
     lasso_dp_index,
-    lasso_homotopy,
     lasso_risk_curves,
+    lasso_solve,
 )
 from .problem import ProblemInstance, build_problem, problem_hash
 from .rules import (
@@ -127,8 +126,8 @@ class StudyConfig:
         unknown = set(self.rules) - set(KNOWN_RULES)
         if unknown:
             raise ValueError(f"unknown rules {sorted(unknown)}")
-        if self.sigma < 0:
-            raise ValueError("noise level must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("noise level must be finite and nonnegative")
 
 
 @dataclasses.dataclass
@@ -524,7 +523,6 @@ def _run_lasso(cfg, problem, dec, extras):
     grid = cfg.grid
     vals = grid.values
     n_draws = cfg.n_draws
-    params = cfg.admm if cfg.admm is not None else AdmmParams()
     aux = _gsure_aux(dec)
     ax_star = A @ x_star
     children = np.random.SeedSequence(cfg.master_seed).spawn(n_draws)
@@ -544,8 +542,7 @@ def _run_lasso(cfg, problem, dec, extras):
         for k in range(n_draws):
             y = ax_star + eps[:, k]
             try:
-                homotopy = lasso_homotopy(A, y, vals)
-                path = admm_all_at_once(A, y, vals, params, start=homotopy.Z)
+                path, kinks[k] = lasso_solve(A, y, vals, cfg.admm)
                 res2, psure_rows[k], gsure_rows[k] = lasso_risk_curves(
                     A, y, path.Z, sigma, aux)
             except NumericError as exc:
@@ -555,7 +552,6 @@ def _run_lasso(cfg, problem, dec, extras):
                 raise NumericError(f"{exc} at {where}") from exc
             unconverged += not np.all(path.converged_flags)
             iterations[k] = path.iterations_used
-            kinks[k] = homotopy.kinks.size
             sum_psure += psure_rows[k]
             sum_gsure += gsure_rows[k]
 

@@ -31,6 +31,7 @@ from regrisk import (
     lasso_gdf,
     lasso_gsure_value,
     lasso_psure_value,
+    lasso_solve,
     mean_sup_deviation,
     msee_true,
     mspe_true,
@@ -290,7 +291,7 @@ def test_criterion_9_df_gdf_properties(capsys):
         A, y, _ = make_lasso_instance(seed, m=m, n=n)
         aux = gsure_aux(A)
         alpha = 0.3 * float(np.max(np.abs(A.T @ y)))
-        z0 = admm_all_at_once(A, y, np.array([alpha])).Z[:, 0]
+        z0 = lasso_solve(A, y, np.array([alpha]))[0].Z[:, 0]
         support0 = set(np.flatnonzero(z0))
         want = lasso_gdf(A, np.flatnonzero(z0), projector=aux.projector)
         pinv_t = aux.pinv.T
@@ -298,8 +299,8 @@ def test_criterion_9_df_gdf_properties(capsys):
         samples = np.empty(n_probes)
         for i in range(n_probes):
             b = rng.choice([-1.0, 1.0], size=m)
-            zp = admm_all_at_once(A, y + delta * b, np.array([alpha])).Z[:, 0]
-            zm = admm_all_at_once(A, y - delta * b, np.array([alpha])).Z[:, 0]
+            zp = lasso_solve(A, y + delta * b, np.array([alpha]))[0].Z[:, 0]
+            zm = lasso_solve(A, y - delta * b, np.array([alpha]))[0].Z[:, 0]
             stable &= set(np.flatnonzero(zp)) == support0
             stable &= set(np.flatnonzero(zm)) == support0
             samples[i] = b @ (pinv_t @ (zp - zm)) / (2.0 * delta)
@@ -316,7 +317,7 @@ def test_criterion_9_df_gdf_properties(capsys):
         m, n = A.shape
         grid = AlphaGrid(-3.0, 0.5, 0.01)
         vals = grid.values
-        path = admm_all_at_once(A, y, vals)
+        path = lasso_solve(A, y, vals)[0]
         aux = gsure_aux(A)
         psure = np.array([lasso_psure_value(A, y, path.Z[:, k], SIGMA)
                           for k in range(len(vals))])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from regrisk import build_problem, load_problem, read_records_csv, save_problem
+from regrisk import gsure_aux, lasso_risk_curves, lasso_solve
 from regrisk import cli, study
 from regrisk.cli import build_parser, load_config_file, main
 
@@ -274,6 +275,33 @@ def test_grid_demo_lasso(tmp_path, capsys):
     assert sum(l.startswith("linear,") for l in lines) == 20
 
 
+def test_grid_demo_lasso_solves_the_linear_grid_exactly(tmp_path, capsys):
+    # at m = 32 the linear grid needs the certified exact path: a solve
+    # stopped short of it gets supports wrong and moves the pick
+    rc = run_cli("grid-demo", "--m", 32, "--n", 32, "--l", 0.04,
+                 "--regularizer", "lasso", "--out", tmp_path)
+    assert rc == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "grid_demo.json").read_text())
+    rows = [line.split(",") for line in
+            (tmp_path / "grid_demo.csv").read_text().splitlines()[1:]]
+    alphas, estimates, errors = np.array(
+        [[float(v) for v in row[1:]] for row in rows if row[0] == "linear"]).T
+    np.testing.assert_array_equal(
+        alphas, report["dp_alpha"] / 10.0 * np.arange(1, 21))
+    problem = build_problem(32, 32, 0.04, 0.1)
+    rng = np.random.default_rng(cli.DEFAULT_SEED)
+    y = problem.A @ problem.x_star + 0.1 * rng.standard_normal(32)
+    Z = lasso_solve(problem.A, y, alphas)[0].Z
+    _, _, gsure = lasso_risk_curves(problem.A, y, Z, 0.1, gsure_aux(problem.A))
+    diff = problem.x_star[:, None] - Z
+    np.testing.assert_array_equal(estimates, gsure)
+    np.testing.assert_array_equal(errors, np.sqrt(np.einsum("ij,ij->j", diff, diff)))
+    k = len(gsure) - 1 - int(np.argmin(gsure[::-1]))  # ties go to the larger alpha
+    assert report["linear"]["alpha_hat"] == alphas[k]
+    assert report["linear"]["error_l2"] == errors[k]
+
+
 def test_version_and_unknown_rule(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
@@ -288,6 +316,13 @@ def test_version_and_unknown_rule(capsys):
 @pytest.mark.parametrize("args", [
     ("build-problem", "--m", 16, "--n", 16, "--l", 0.7),
     ("grid-demo", "--m", 16, "--n", 16, "--l", 0.06, "--sigma", -1),
+    ("build-problem", "--m", 16, "--n", 16, "--l", 0.06, "--sigma", "nan"),
+    ("grid-demo", "--m", 16, "--n", 16, "--l", 0.06, "--sigma", "nan"),
+    ("run-study", "--m", 16, "--n", 16, "--l", 0.06, "--sigma", "nan"),
+    ("run-study", "--problem", "stored.npz", "--sigma", "nan"),
+    ("lasso-study", "--m", 16, "--n", 16, "--l", 0.06, "--sigma", "nan"),
+    ("lasso-study", "--m", 16, "--n", 16, "--l", 0.06, "--sigma", "inf"),
+    ("rate-check", "--sizes", "16,32", "--draws", 2, "--sigma", "nan"),
     ("rate-check", "--sizes", "4,8", "--draws", 2),
     ("grid-demo", "--m", 4, "--n", 4, "--l", 0.06),
     ("run-study", "--problem", "missing.npz"),
@@ -299,7 +334,9 @@ def test_version_and_unknown_rule(capsys):
     ("stats", "--records", "other.csv"),
     ("run-study", "--m", 16, "--n", 16, "--l", 0.06, "--sigma", 0.1,
      "--out", "empty.csv"),  # caught before the study runs
-], ids=["l-out-of-range", "negative-sigma", "sizes-too-small", "m-too-small",
+], ids=["l-out-of-range", "negative-sigma", "nan-sigma-build", "nan-sigma-demo",
+        "nan-sigma-study", "nan-sigma-stored-problem", "nan-sigma-lasso",
+        "inf-sigma-lasso", "nan-sigma-rates", "sizes-too-small", "m-too-small",
         "missing-problem", "missing-records", "not-a-problem",
         "dims-contradict-arrays", "empty-problem", "empty-records",
         "not-records", "out-is-a-file"])
@@ -308,6 +345,7 @@ def test_rejected_input_exits_with_usage_status(tmp_path, capsys, monkeypatch,
     monkeypatch.chdir(tmp_path)
     np.savez("partial.npz", A=np.eye(3))
     small = build_problem(32, 32, 0.06, 0.1)
+    save_problem(small, "stored.npz")
     np.savez("mismatched.npz", A=small.A, x_star=small.x_star,
              dims=np.array([64, 64]), params=np.array([0.06, 0.1]))
     (tmp_path / "empty.csv").write_text("")

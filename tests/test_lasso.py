@@ -8,7 +8,6 @@ from regrisk import (
     AdmmParams,
     NumericError,
     admm_all_at_once,
-    admm_per_alpha,
     build_problem,
     default_lasso_grid,
     gsure_aux,
@@ -98,14 +97,6 @@ def test_solution_exactly_sparse_above_max_penalty():
     amax = float(np.max(np.abs(A.T @ y)))
     path = admm_all_at_once(A, y, np.array([1.5 * amax]))
     assert np.all(path.Z == 0.0)
-
-
-def test_per_alpha_agrees_with_all_at_once():
-    A, y, _ = make_lasso_instance(6)
-    alphas = alpha_span(A, y, 6)
-    joint = admm_all_at_once(A, y, alphas)
-    single = admm_per_alpha(A, y, alphas, n_iter=20000)
-    np.testing.assert_allclose(single.Z, joint.Z, atol=1e-7)
 
 
 def test_rho_adaptation_does_not_change_solutions(monkeypatch):

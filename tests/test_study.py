@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -24,6 +25,7 @@ from regrisk import (
     admm_all_at_once,
     build_problem,
     decompose,
+    default_lasso_grid,
     default_quadratic_grid,
     dp_select,
     dp_value,
@@ -81,8 +83,9 @@ def test_config_validation():
         small_config(metric="linf")
     with pytest.raises(ValueError):
         small_config(regularizer="lasso")  # grid carries the +inf slot
-    with pytest.raises(ValueError):
-        small_config(sigma=-1.0)
+    for sigma in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            small_config(sigma=sigma)
 
 
 def test_problem_dimension_mismatch(problem16):
@@ -627,7 +630,7 @@ def test_lasso_study_solves_each_draw_once(problem16, monkeypatch):
         calls.append(1)
         return admm_all_at_once(*args, **kwargs)
 
-    monkeypatch.setattr(study, "admm_all_at_once", counting)
+    monkeypatch.setattr(lasso, "admm_all_at_once", counting)
     cfg = lasso_config(n_draws=3)
     assert len(run_study(cfg, problem=problem16)) == 3
     assert len(calls) == cfg.n_draws
@@ -695,6 +698,30 @@ def test_lasso_one_pass_equals_two_pass_reference(problem16, metric):
         assert rec.sup_dev_psure == float(np.max(np.abs(p - mean_p)))
         assert rec.sup_dev_gsure == float(np.max(np.abs(g - mean_g)))
         assert rec.sup_loss_psure is None and rec.sup_loss_gsure is None
+
+
+@pytest.mark.parametrize("m, l, n_draws, seed, metric, records_digest, curves_digest", [
+    (32, 0.04, 8, 20240817, "l1",
+     "cad8fa3580080d2991eef808201d62013fcc1c152c5a77fa5b7319483ba748e1",
+     "baff068542f6ba1748cbdae67b4de343348a7c71295001e09ff528d7d0ab6e67"),
+    (16, 0.06, 6, 77, "l2_estimation",
+     "f62fe2383f3d68eacfec9214821542c0d2a30927274ae87bb715ae5229efa1b2",
+     "44c907d930de3473ad8e0d339c1dcd6863ddae7b47ce31a3b05677d0f8afa1b4"),
+])
+def test_lasso_study_bits_pinned(tmp_path, m, l, n_draws, seed, metric,
+                                 records_digest, curves_digest):
+    # the l1 study's records and mean curves, bit for bit, under any
+    # BLAS thread count: a refactor of the l1 solve must keep them
+    cfg = StudyConfig(
+        m=m, n=m, l=l, sigma=0.1, grid=default_lasso_grid(), n_draws=n_draws,
+        master_seed=seed, regularizer="lasso", metric=metric)
+    extras = {}
+    path = tmp_path / "records.csv"
+    write_records_csv(run_study(cfg, extras=extras), cfg.rules, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == records_digest
+    curves = np.stack([extras["first_pass_mean_psure"],
+                       extras["first_pass_mean_gsure"]])
+    assert hashlib.sha256(curves.tobytes()).hexdigest() == curves_digest
 
 
 def test_lasso_finite_checks_run_in_draw_order(problem16, monkeypatch):
