@@ -59,8 +59,7 @@ from .study import (
     StudyConfig,
     _config_dict,
     _rule_stats,
-    mean_sup_deviation,
-    rate_check,
+    rate_sweep,
     read_records_csv,
     run_study,
     summary_json,
@@ -414,44 +413,17 @@ def _cmd_lasso_study(cfg, parser):
 def _cmd_rate_check(cfg, parser):
     started = time.time()
     with _usage_errors(parser):
+        sweep = rate_sweep(cfg["sizes"], cfg["l"], cfg["sigma"], cfg["draws"],
+                           cfg["seed"], workers=cfg["workers"])
         out = _out_dir(cfg)
-    per_size = []
-    for m in cfg["sizes"]:
-        with _usage_errors(parser):
-            problem = build_problem(m, m, cfg["l"], cfg["sigma"])
-            config = StudyConfig(
-                m=m,
-                n=m,
-                l=cfg["l"],
-                sigma=cfg["sigma"],
-                grid=default_quadratic_grid(),
-                n_draws=cfg["draws"],
-                master_seed=cfg["seed"] + m,
-                rules=("psure",),
-            )
-        dec = decompose(problem.A)
-        records = run_study(
-            config, problem=problem, dec=dec, workers=cfg["workers"]
-        )
-        per_size.append({
-            "m": m,
-            "cond": dec.cond,
-            "mean_sup_psure": mean_sup_deviation(records, "psure"),
-            "mean_sup_gsure": mean_sup_deviation(records, "gsure"),
-        })
+    for e in sweep["per_size"]:
         print(
-            f"m={m}: cond={dec.cond:.5g} "
-            f"mean_sup_psure={per_size[-1]['mean_sup_psure']:.6g} "
-            f"mean_sup_gsure={per_size[-1]['mean_sup_gsure']:.6g}"
+            f"m={e['m']}: cond={e['cond']:.5g} "
+            f"mean_sup_psure={e['mean_sup_psure']:.6g} "
+            f"mean_sup_gsure={e['mean_sup_gsure']:.6g} "
+            f"mean_sup_gsure_noise={e['mean_sup_gsure_noise']:.6g}"
         )
-    triples_p = [(e["m"], e["mean_sup_psure"], e["cond"]) for e in per_size]
-    triples_g = [(e["m"], e["mean_sup_gsure"], e["cond"]) for e in per_size]
-    fits = {
-        "psure": rate_check(triples_p, "psure"),
-        "gsure_cond": rate_check(triples_g, "gsure_cond"),
-        "gsure_plain": rate_check(triples_g, "gsure_plain"),
-    }
-    for name, fit in fits.items():
+    for name, fit in sweep["fits"].items():
         print(
             f"{name}: slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
             f"points={fit.n_points}"
@@ -459,8 +431,8 @@ def _cmd_rate_check(cfg, parser):
     report_path = f"{out}/rate_check.json"
     report = {
         "schema_version": SCHEMA_VERSION,
-        "per_size": per_size,
-        "fits": {k: dataclasses.asdict(f) for k, f in fits.items()},
+        "per_size": sweep["per_size"],
+        "fits": {k: dataclasses.asdict(f) for k, f in sweep["fits"].items()},
     }
     write_summary_json(report, report_path)
     manifest = _write_manifest(out, "rate-check", cfg, [report_path], started)

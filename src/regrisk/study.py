@@ -61,6 +61,7 @@ from .rules import (
     ORACLE_METRICS,
     _argmin_larger,
     c_constant,
+    default_quadratic_grid,
     df_table,
     estimation_weight_table,
     expected_data_power,
@@ -82,6 +83,7 @@ __all__ = [
     "sup_deviation",
     "mean_sup_deviation",
     "rate_check",
+    "rate_sweep",
     "error_stats",
     "win_fraction",
     "loss_closeness_stats",
@@ -178,7 +180,6 @@ def _quadratic_tables(cfg, problem, dec):
     s2 = cfg.sigma * cfg.sigma
     xs_full = dec.V.T @ problem.x_star
     r = dec.r
-    T.xs_full = xs_full
     T.xs_r = xs_full[:r]
     T.g = dec.gammas[:r]
     T.W1 = prediction_weight_table(dec, grid)
@@ -597,14 +598,20 @@ def run_study(config: StudyConfig, problem: ProblemInstance | None = None,
               dec=None, workers: int = 1, extras: dict | None = None):
     """Run the configured study and return one StudyRecord per draw.
 
-    The problem is built (or taken as given), decomposed once, and the
-    decomposition is shared across all draws. Deterministic for a fixed
-    config regardless of the worker count.
+    The problem is built (or taken as given, when its m, n and l match
+    the config's), decomposed once, and the decomposition is shared
+    across all draws. Deterministic for a fixed config regardless of the
+    worker count.
     """
     if problem is None:
         problem = build_problem(config.m, config.n, config.l, config.sigma)
-    elif (problem.m, problem.n) != (config.m, config.n):
-        raise ValueError("problem dimensions do not match the configuration")
+    else:
+        # sigma may differ: the config's sigma is the study's noise level
+        got = (problem.m, problem.n, problem.l)
+        want = (config.m, config.n, config.l)
+        if got != want:
+            raise ValueError(f"the problem's (m, n, l) = {got} does not match "
+                             f"the configuration's {want}")
     if dec is None:
         dec = decompose(problem.A)
     if extras is not None:
@@ -680,6 +687,69 @@ def rate_check(per_m, normalization: str) -> RateFit:
     y = np.log10(np.asarray(stat))
     slope, intercept = np.polyfit(x, y, 1)
     return RateFit(float(slope), float(intercept), len(pts))
+
+
+def _sup_mean_se(records, which):
+    """Mean and standard error (std with ddof=1 over sqrt(n)) of the
+    per-draw sup deviations."""
+    sups = np.array([getattr(rec, f"sup_dev_{which}") for rec in records])
+    if sups.size < 2:
+        return float(np.mean(sups)), math.nan
+    return float(np.mean(sups)), float(np.std(sups, ddof=1)) / math.sqrt(sups.size)
+
+
+def rate_sweep(sizes, l, sigma, n_draws, master_seed, workers=1) -> dict:
+    """The deviation-rate sweep over problem sizes m = n.
+
+    Each size runs a psure-only study on the default quadratic grid with
+    seed master_seed + m, and the same study again with x* = 0. The
+    second run draws the same noise, so its estimation-side sup is the
+    noise x noise part of the first run's. Every size's problem and
+    config are built before the first study runs, so a rejected size
+    costs no study.
+
+    Returns {"per_size": [...], "fits": {...}}. A per-size entry holds
+    m, cond, the mean sups mean_sup_psure, mean_sup_gsure and
+    mean_sup_gsure_noise (x* = 0), and their standard errors se_sup_*.
+    The fits are RateFits: "psure", "gsure_cond" and "gsure_plain" of
+    the full statistics, and "gsure_cond_noise", the m * cond^2
+    normalized fit of the noise x noise sups, which is the paper's rate
+    check of the estimation side (see rate_check).
+    """
+    if len(set(sizes)) < 2:
+        raise ValueError("need at least two sizes for a rate fit")
+    grid = default_quadratic_grid()
+    setups = [
+        (build_problem(m, m, l, sigma),
+         StudyConfig(m=m, n=m, l=l, sigma=sigma, grid=grid, n_draws=n_draws,
+                     master_seed=master_seed + m, rules=("psure",)))
+        for m in sizes
+    ]
+    per_size = []
+    for problem, config in setups:
+        m = config.m
+        dec = decompose(problem.A)
+        full = run_study(config, problem=problem, dec=dec, workers=workers)
+        no_signal = dataclasses.replace(problem, x_star=np.zeros(m))
+        zero = run_study(config, problem=no_signal, dec=dec, workers=workers)
+        entry = {"m": m, "cond": dec.cond}
+        for key, records, which in (("psure", full, "psure"),
+                                    ("gsure", full, "gsure"),
+                                    ("gsure_noise", zero, "gsure")):
+            entry[f"mean_sup_{key}"], entry[f"se_sup_{key}"] = _sup_mean_se(
+                records, which)
+        per_size.append(entry)
+
+    def triples(key):
+        return [(e["m"], e[f"mean_sup_{key}"], e["cond"]) for e in per_size]
+
+    fits = {
+        "psure": rate_check(triples("psure"), "psure"),
+        "gsure_cond": rate_check(triples("gsure"), "gsure_cond"),
+        "gsure_plain": rate_check(triples("gsure"), "gsure_plain"),
+        "gsure_cond_noise": rate_check(triples("gsure_noise"), "gsure_cond"),
+    }
+    return {"per_size": per_size, "fits": fits}
 
 
 def _errors_for(records, rule, metric="l2"):

@@ -5,7 +5,6 @@ the full scoreboard even when an item fails. Printing happens with
 capture suspended so the lines reach the real stdout.
 """
 
-import dataclasses
 import math
 import time
 
@@ -32,11 +31,11 @@ from regrisk import (
     lasso_gsure_value,
     lasso_psure_value,
     lasso_solve,
-    mean_sup_deviation,
     msee_true,
     mspe_true,
     psure_alpha_bounds,
     rate_check,
+    rate_sweep,
     run_study,
     to_spectral,
     trace_pinv_gram,
@@ -167,42 +166,32 @@ def test_criterion_6_deviation_rates(capsys):
     # noise part, sum w_i (eps_i^2 - sigma^2), with std
     # sigma^2 sqrt(2 sum g^-4), growing like cond^2. The m * cond^2
     # normalization models only the latter. The noise draws depend on the
-    # seeds alone, so a second run with x* = 0 gives the noise x noise
-    # sup of the same draws, and the cond-normalized rate is fitted to it.
+    # seeds alone, so rate_sweep's second run with x* = 0 gives the noise x
+    # noise sup of the same draws, and the cond-normalized rate is fitted
+    # to it.
     # At m = 16 (cond 2.8) the signal x noise part dominates and the sup
     # sits at alpha = +inf; there the full statistic is pinned to the
     # closed form of E|deviation(+inf)| instead.
     t0 = time.time()
-    per_size = []
-    noise_only = []
-    for m in (16, 32, 64, 128, 256, 512):
-        problem = build_problem(m, m, 0.06, SIGMA)
-        dec = decompose(problem.A)
-        cfg = StudyConfig(
-            m=m, n=m, l=0.06, sigma=SIGMA, grid=default_quadratic_grid(),
-            n_draws=1000, master_seed=20240817 + m, rules=("psure",),
-        )
-        records = run_study(cfg, problem=problem, dec=dec, workers=3)
-        per_size.append((m, mean_sup_deviation(records, "psure"),
-                         mean_sup_deviation(records, "gsure"), dec.cond))
-        no_signal = dataclasses.replace(problem, x_star=np.zeros(m))
-        zero = run_study(cfg, problem=no_signal, dec=dec, workers=3)
-        noise_only.append((m, mean_sup_deviation(zero, "gsure"), dec.cond))
-        if m == 16:
-            sups = np.array([rec.sup_dev_gsure for rec in records])
-            g = dec.gammas[: dec.r]
-            xs = (dec.V.T @ problem.x_star)[: dec.r]
-            var_inf = (4.0 * SIGMA**2 * np.sum(xs * xs / (g * g))
-                       + 2.0 * SIGMA**4 * np.sum(g**-4.0))
-            closed16 = math.sqrt(2.0 / math.pi) * math.sqrt(var_inf)
-            mean16 = float(np.mean(sups))
-            se16 = float(np.std(sups, ddof=1)) / math.sqrt(sups.size)
-    trip_p = [(m, sp, c) for m, sp, _, c in per_size]
-    trip_g = [(m, sg, c) for m, _, sg, c in per_size]
-    slope_p = rate_check(trip_p, "psure").slope
-    slope_gn = rate_check(noise_only, "gsure_cond").slope
-    slope_gp = rate_check(trip_g, "gsure_plain").slope
-    slope_gc_full = rate_check(trip_g, "gsure_cond").slope
+    sweep = rate_sweep((16, 32, 64, 128, 256, 512), 0.06, SIGMA, 1000,
+                       20240817, workers=3)
+    at16 = sweep["per_size"][0]
+    assert at16["m"] == 16
+    problem = build_problem(16, 16, 0.06, SIGMA)
+    dec = decompose(problem.A)
+    g = dec.gammas[: dec.r]
+    xs = (dec.V.T @ problem.x_star)[: dec.r]
+    var_inf = (4.0 * SIGMA**2 * np.sum(xs * xs / (g * g))
+               + 2.0 * SIGMA**4 * np.sum(g**-4.0))
+    closed16 = math.sqrt(2.0 / math.pi) * math.sqrt(var_inf)
+    mean16 = at16["mean_sup_gsure"]
+    se16 = at16["se_sup_gsure"]
+    fits = sweep["fits"]
+    slope_p = fits["psure"].slope
+    slope_gn = fits["gsure_cond_noise"].slope
+    slope_gp = fits["gsure_plain"].slope
+    slope_gc_full = fits["gsure_cond"].slope
+    trip_g = [(e["m"], e["mean_sup_gsure"], e["cond"]) for e in sweep["per_size"]]
     slope_gc_tail = rate_check(trip_g[1:], "gsure_cond").slope
 
     ok_p = abs(slope_p + 1.0) <= 0.3

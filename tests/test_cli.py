@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -240,10 +241,35 @@ def test_rate_check_command(tmp_path, capsys):
     assert "m=16:" in out and "m=32:" in out
     report = json.loads((tmp_path / "rate_check.json").read_text())
     assert {e["m"] for e in report["per_size"]} == {16, 32}
-    assert set(report["fits"]) == {"psure", "gsure_cond", "gsure_plain"}
+    assert set(report["fits"]) == {"psure", "gsure_cond", "gsure_plain",
+                                   "gsure_cond_noise"}
     for fit in report["fits"].values():
         assert fit["n_points"] == 2
         assert np.isfinite(fit["slope"])
+
+
+def test_rate_check_writes_the_sweep(tmp_path, capsys):
+    rc = run_cli("rate-check", "--sizes", "16,32", "--draws", 5, "--seed", 3,
+                 "--workers", 2, "--out", tmp_path)
+    assert rc == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "rate_check.json").read_text())
+    sweep = study.rate_sweep([16, 32], 0.06, 0.1, 5, 3)
+    assert report == {
+        "schema_version": study.SCHEMA_VERSION,
+        "per_size": sweep["per_size"],
+        "fits": {k: dataclasses.asdict(f) for k, f in sweep["fits"].items()},
+    }
+
+
+def test_rate_check_defaults_are_criterion_6():
+    # a default rate-check is the run criterion 6 asserts
+    defaults = {opt.dest: opt.default for opt in cli._RATE_OPTS}
+    assert defaults["sizes"] == [16, 32, 64, 128, 256, 512]
+    assert defaults["l"] == 0.06
+    assert defaults["sigma"] == 0.1
+    assert defaults["draws"] == 1000
+    assert defaults["seed"] == 20240817
 
 
 def test_grid_demo_quadratic(tmp_path, capsys):
@@ -322,8 +348,10 @@ def test_version_and_unknown_rule(capsys):
     ("run-study", "--problem", "stored.npz", "--sigma", "nan"),
     ("lasso-study", "--m", 16, "--n", 16, "--l", 0.06, "--sigma", "nan"),
     ("lasso-study", "--m", 16, "--n", 16, "--l", 0.06, "--sigma", "inf"),
-    ("rate-check", "--sizes", "16,32", "--draws", 2, "--sigma", "nan"),
-    ("rate-check", "--sizes", "4,8", "--draws", 2),
+    ("rate-check", "--sizes", "16,32", "--draws", 2, "--sigma", "nan",
+     "--out", "fresh"),
+    ("rate-check", "--sizes", "4,8", "--draws", 2, "--out", "fresh"),
+    ("rate-check", "--sizes", "16,4", "--draws", 2, "--out", "fresh"),
     ("grid-demo", "--m", 4, "--n", 4, "--l", 0.06),
     ("run-study", "--problem", "missing.npz"),
     ("stats", "--records", "missing.csv"),
@@ -336,7 +364,8 @@ def test_version_and_unknown_rule(capsys):
      "--out", "empty.csv"),  # caught before the study runs
 ], ids=["l-out-of-range", "negative-sigma", "nan-sigma-build", "nan-sigma-demo",
         "nan-sigma-study", "nan-sigma-stored-problem", "nan-sigma-lasso",
-        "inf-sigma-lasso", "nan-sigma-rates", "sizes-too-small", "m-too-small",
+        "inf-sigma-lasso", "nan-sigma-rates", "sizes-too-small",
+        "later-size-too-small", "m-too-small",
         "missing-problem", "missing-records", "not-a-problem",
         "dims-contradict-arrays", "empty-problem", "empty-records",
         "not-records", "out-is-a-file"])

@@ -46,6 +46,7 @@ from regrisk import (
     psure_select,
     psure_value,
     rate_check,
+    rate_sweep,
     read_records_csv,
     run_study,
     summary_json,
@@ -89,9 +90,15 @@ def test_config_validation():
 
 
 def test_problem_dimension_mismatch(problem16):
-    cfg = small_config(m=32, n=32)
-    with pytest.raises(ValueError):
-        run_study(cfg, problem=problem16)
+    # a problem whose m, n or l contradicts the config is rejected before
+    # the study runs; sigma may differ, the config's is the noise level
+    for kw in (dict(m=32, n=32), dict(l=0.04)):
+        with pytest.raises(ValueError, match=r"\(m, n, l\)"):
+            run_study(small_config(**kw), problem=problem16)
+    other_sigma = dataclasses.replace(problem16, sigma=0.5)
+    a = run_study(small_config(), problem=other_sigma)
+    b = run_study(small_config(), problem=problem16)
+    assert [r.sup_dev_gsure for r in a] == [r.sup_dev_gsure for r in b]
 
 
 def _draw(problem, cfg, index):
@@ -804,6 +811,49 @@ def test_rate_check_validation():
         rate_check([(16, 1.0, 1.0)], "psure")
     with pytest.raises(ValueError):
         rate_check([(16, 1.0, 1.0), (32, 0.5, 1.0)], "weird")
+
+
+def test_rate_sweep_matches_explicit_studies():
+    sweep = rate_sweep([32, 16], 0.06, 0.1, 7, 11, workers=2)
+    assert [e["m"] for e in sweep["per_size"]] == [32, 16]
+    full, noise = [], []
+    for entry in sweep["per_size"]:
+        m = entry["m"]
+        problem = build_problem(m, m, 0.06, 0.1)
+        dec = decompose(problem.A)
+        cfg = StudyConfig(m=m, n=m, l=0.06, sigma=0.1,
+                          grid=default_quadratic_grid(), n_draws=7,
+                          master_seed=11 + m, rules=("psure",))
+        records = run_study(cfg, problem=problem, dec=dec)
+        zero = run_study(
+            cfg, problem=dataclasses.replace(problem, x_star=np.zeros(m)),
+            dec=dec)
+        assert entry["cond"] == dec.cond
+        for key, recs, which in (("psure", records, "psure"),
+                                 ("gsure", records, "gsure"),
+                                 ("gsure_noise", zero, "gsure")):
+            assert entry[f"mean_sup_{key}"] == mean_sup_deviation(recs, which)
+            sups = [getattr(rec, f"sup_dev_{which}") for rec in recs]
+            assert entry[f"se_sup_{key}"] == pytest.approx(
+                np.std(sups, ddof=1) / np.sqrt(7), rel=1e-12)
+        full.append((m, entry["mean_sup_psure"], entry["mean_sup_gsure"], dec.cond))
+        noise.append((m, entry["mean_sup_gsure_noise"], dec.cond))
+    fits = sweep["fits"]
+    assert fits["psure"] == rate_check([(m, p, c) for m, p, _, c in full], "psure")
+    trip_g = [(m, g, c) for m, _, g, c in full]
+    assert fits["gsure_cond"] == rate_check(trip_g, "gsure_cond")
+    assert fits["gsure_plain"] == rate_check(trip_g, "gsure_plain")
+    assert fits["gsure_cond_noise"] == rate_check(noise, "gsure_cond")
+
+
+@pytest.mark.parametrize("sizes", [[16, 4], [16], [16, 16]])
+def test_rate_sweep_rejects_sizes_before_any_study(monkeypatch, sizes):
+    def no_study(*args, **kwargs):
+        raise AssertionError("a study ran")
+
+    monkeypatch.setattr(study, "run_study", no_study)
+    with pytest.raises(ValueError):
+        rate_sweep(sizes, 0.06, 0.1, 2, 1)
 
 
 # aggregation over synthetic records
